@@ -1,10 +1,15 @@
 //! Criterion bench: clustering algorithms on one frame's feature matrix.
 //!
 //! Measures the cost of the E2/E5 clustering step — the dominant compute of
-//! the pipeline — across algorithms at frame scale.
+//! the pipeline — across algorithms at frame scale. The `threshold` and
+//! `kmeans_k64` cases fit rows in submission order; `threshold_canonical`
+//! goes through `ThresholdSubsetter::fit`, which sorts the rows into the
+//! canonical order the pipeline always fits (and medoids the result).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use subset3d_cluster::{Hierarchical, KMeans, Linkage, ThresholdClustering};
+use subset3d_cluster::{
+    Hierarchical, KMeans, Linkage, Subsetter, ThresholdClustering, ThresholdSubsetter,
+};
 use subset3d_core::SubsetConfig;
 use subset3d_features::extract_frame_features;
 use subset3d_trace::gen::{GameProfile, CORPUS_SEED};
@@ -33,6 +38,13 @@ fn bench_clustering(c: &mut Criterion) {
             b.iter(|| KMeans::new(64).seed(1).fit(pts).len())
         });
     }
+    // The standard corpus averages 1,161 draws per frame.
+    let mean_frame = frame_points(1161);
+    group.bench_with_input(
+        BenchmarkId::new("threshold_canonical", 1161),
+        &mean_frame,
+        |b, pts| b.iter(|| ThresholdSubsetter::new(1.05).fit(pts).representatives.len()),
+    );
     // Hierarchical is O(n²)+ — bench only the small frame.
     let small = frame_points(200);
     group.bench_function("hierarchical_avg_200", |b| {

@@ -23,15 +23,23 @@ pub fn medoid_of(points: &[Vec<f64>], members: &[usize]) -> Option<usize> {
     if members.len() == 1 {
         return Some(members[0]);
     }
-    if members.len() <= 64 {
-        // Exact medoid.
+    if members.len() <= EXACT_MAX {
+        // Exact medoid. `sq_dist` is symmetric bit for bit (`x − y` is
+        // exactly `−(y − x)`), so each pair is computed once and added to
+        // both totals. Visiting pairs (a, b ≥ a) in row-major order adds
+        // every total's terms in member order, as a per-member sum would.
+        let mut totals = [0.0f64; EXACT_MAX];
+        for (a, &i) in members.iter().enumerate() {
+            totals[a] += sq_dist(&points[i], &points[i]);
+            for (b, &j) in members.iter().enumerate().skip(a + 1) {
+                let d = sq_dist(&points[i], &points[j]);
+                totals[a] += d;
+                totals[b] += d;
+            }
+        }
         let mut best = members[0];
         let mut best_total = f64::INFINITY;
-        for &i in members {
-            let total: f64 = members
-                .iter()
-                .map(|&j| sq_dist(&points[i], &points[j]))
-                .sum();
+        for (&i, &total) in members.iter().zip(&totals) {
             if total < best_total {
                 best_total = total;
                 best = i;
@@ -61,6 +69,9 @@ pub fn medoid_of(points: &[Vec<f64>], members: &[usize]) -> Option<usize> {
             .or(Some(members[0]))
     }
 }
+
+/// Largest cluster whose medoid is found exactly.
+const EXACT_MAX: usize = 64;
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
@@ -101,6 +112,43 @@ mod tests {
         let members: Vec<usize> = (0..100).collect();
         let m = medoid_of(&pts, &members).unwrap();
         assert!((45..=54).contains(&m), "medoid {m}");
+    }
+
+    /// The exact medoid as a per-member double loop over all pairs.
+    fn double_loop_medoid(points: &[Vec<f64>], members: &[usize]) -> usize {
+        let mut best = members[0];
+        let mut best_total = f64::INFINITY;
+        for &i in members {
+            let total: f64 = members
+                .iter()
+                .map(|&j| sq_dist(&points[i], &points[j]))
+                .sum();
+            if total < best_total {
+                best_total = total;
+                best = i;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn single_pair_pass_matches_double_loop() {
+        // Coarse coordinates make many totals tie, so the first-minimum
+        // rule decides; the NaN member never wins.
+        let mut pts: Vec<Vec<f64>> = (0..70)
+            .map(|i| vec![((i * 7) % 5) as f64 * 0.5, ((i * 3) % 4) as f64, -0.0])
+            .collect();
+        pts[13][1] = f64::NAN;
+        for len in [2, 3, 8, 31, 63, 64] {
+            for offset in [0, 5] {
+                let members: Vec<usize> = (offset..offset + len).rev().collect();
+                assert_eq!(
+                    medoid_of(&pts, &members),
+                    Some(double_loop_medoid(&pts, &members)),
+                    "{len} members from {offset}"
+                );
+            }
+        }
     }
 
     #[test]

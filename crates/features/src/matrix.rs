@@ -118,11 +118,9 @@ impl FeatureMatrix {
             return;
         }
         let dim = self.cols();
-        for c in 0..dim {
-            let col = self.column(c);
-            let (offset, scale) = method.parameters(&col);
-            for r in 0..self.rows {
-                let v = &mut self.data[r * dim + c];
+        let params = method.column_parameters(&self.data, dim);
+        for row in self.data.chunks_exact_mut(dim.max(1)) {
+            for (v, &(offset, scale)) in row.iter_mut().zip(&params) {
                 *v = (*v - offset) / scale;
             }
         }
@@ -215,6 +213,69 @@ mod tests {
         assert_eq!(summaries[0].0, FeatureKind::VertexCount);
         assert_eq!(summaries[0].1.mean, 2.0);
         assert_eq!(summaries[1].1.max, 30.0);
+    }
+
+    /// The per-column formulation: copy each column, take its parameters
+    /// with the `subset3d_stats` helpers, write the column back.
+    fn two_pass_normalize(m: &mut FeatureMatrix, method: Normalization) {
+        let dim = m.cols();
+        for c in 0..dim {
+            let col = m.column(c);
+            let (offset, scale) = match method {
+                Normalization::None => (0.0, 1.0),
+                Normalization::ZScore => {
+                    let sd = subset3d_stats::std_dev(&col);
+                    (subset3d_stats::mean(&col), if sd > 0.0 { sd } else { 1.0 })
+                }
+                Normalization::MinMax => {
+                    let lo = subset3d_stats::min(&col).unwrap_or(0.0);
+                    let range = subset3d_stats::max(&col).unwrap_or(0.0) - lo;
+                    (lo, if range > 0.0 { range } else { 1.0 })
+                }
+            };
+            for r in 0..m.rows {
+                let v = &mut m.data[r * dim + c];
+                *v = (*v - offset) / scale;
+            }
+        }
+    }
+
+    #[test]
+    fn row_major_normalization_is_bit_identical_to_per_column() {
+        use subset3d_trace::gen::GameProfile;
+        let w = GameProfile::shooter("norm")
+            .frames(1)
+            .draws_per_frame(400)
+            .build(5)
+            .generate();
+        let frame = crate::extract_frame_features(&w.frames()[0], &w, FeatureKind::standard_set());
+        let bits = |m: &FeatureMatrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for method in [Normalization::ZScore, Normalization::MinMax] {
+            let mut fast = frame.clone();
+            fast.normalize(method);
+            fast.apply_cost_weights();
+            let mut slow = frame.clone();
+            two_pass_normalize(&mut slow, method);
+            slow.apply_cost_weights();
+            assert_eq!(bits(&fast), bits(&slow), "{method:?}");
+        }
+        // A constant column, a NaN and a single row take the degenerate
+        // branches.
+        let mut odd = FeatureMatrix::with_capacity(two_kinds(), 3);
+        odd.push_row(&[4.0, f64::NAN]);
+        odd.push_row(&[4.0, -0.0]);
+        odd.push_row(&[4.0, 2.5]);
+        let mut single = FeatureMatrix::with_capacity(two_kinds(), 1);
+        single.push_row(&[1.5, -2.0]);
+        for m in [odd, single] {
+            for method in [Normalization::ZScore, Normalization::MinMax] {
+                let mut fast = m.clone();
+                fast.normalize(method);
+                let mut slow = m.clone();
+                two_pass_normalize(&mut slow, method);
+                assert_eq!(bits(&fast), bits(&slow), "{method:?}");
+            }
+        }
     }
 
     #[test]

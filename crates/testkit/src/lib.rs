@@ -1,6 +1,6 @@
 //! Correctness tooling for the subset3d workspace.
 //!
-//! Three independent layers, each attacking a different failure class of
+//! Independent layers, each attacking a different failure class of
 //! the optimized pipeline (see `DESIGN.md`, *Correctness tooling*):
 //!
 //! 1. **Differential oracle** ([`oracle`]) — runs the deliberately naive
@@ -23,6 +23,9 @@
 //!    pipeline's output: bit-identical while the stream fits the session
 //!    reservoir (at any chunk size and thread count), bounded error-bound
 //!    drift once the reservoir overflows.
+//! 5. **Leader reference** ([`reference_threshold_fit`]) — the scalar
+//!    first-match leader scan that the blocked production kernel in
+//!    `ThresholdClustering::fit` must reproduce bit for bit.
 //!
 //! [`corpus`] supplies the fixed-seed workloads every layer runs against.
 
@@ -30,6 +33,9 @@
 
 pub mod corpus;
 pub mod golden;
+mod leader;
 pub mod metamorphic;
 pub mod oracle;
 pub mod streaming;
+
+pub use leader::reference_threshold_fit;

@@ -1,7 +1,7 @@
 //! Property-based invariants across the workspace, via proptest.
 
 use proptest::prelude::*;
-use subset3d::cluster::{medoid_of, KMeans, ThresholdClustering};
+use subset3d::cluster::{canonical_order, medoid_of, KMeans, ThresholdClustering};
 use subset3d::core::{cluster_frame, predict_frame, ShaderVector, SubsetConfig};
 use subset3d::features::{euclidean, manhattan};
 use subset3d::gpusim::{ArchConfig, Simulator};
@@ -15,6 +15,18 @@ use subset3d::trace::{
 /// Strategy: a small dataset of low-dimensional points.
 fn points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(-100.0f64..100.0, 3), 1..60)
+}
+
+/// Strategy: points of 1–19 dimensions on a half-unit grid, so distances
+/// often land exactly on a threshold that is a multiple of one half.
+fn grid_points_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (1usize..20, prop::collection::vec(-4i32..4, 1..1200)).prop_map(|(dim, cells)| {
+        cells
+            .chunks(dim)
+            .filter(|row| row.len() == dim)
+            .map(|row| row.iter().map(|&v| f64::from(v) * 0.5).collect())
+            .collect()
+    })
 }
 
 /// Strategy: one fully arbitrary draw-call, covering every column of the
@@ -134,6 +146,28 @@ proptest! {
         for (i, &a) in c.assignments().iter().enumerate() {
             let d = euclidean(&points[i], &c.centroids()[a]);
             prop_assert!(d <= t + 1e-9);
+        }
+    }
+
+    #[test]
+    fn threshold_clustering_matches_scalar_reference(
+        points in points_strategy(),
+        t in 0.0f64..50.0,
+        grid in grid_points_strategy(),
+        half_units in 0u32..6,
+    ) {
+        let bits = |c: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            c.iter().map(|r| r.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        for (points, t) in [(&points, t), (&grid, f64::from(half_units) * 0.5)] {
+            let canonical: Vec<Vec<f64>> =
+                canonical_order(points).into_iter().map(|i| points[i].clone()).collect();
+            for input in [points, &canonical] {
+                let fast = ThresholdClustering::new(t).fit(input);
+                let slow = subset3d_testkit::reference_threshold_fit(input, t);
+                prop_assert_eq!(fast.assignments(), slow.assignments());
+                prop_assert_eq!(bits(fast.centroids()), bits(slow.centroids()));
+            }
         }
     }
 
