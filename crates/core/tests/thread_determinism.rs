@@ -22,6 +22,7 @@ struct Observed {
     freq_points: Vec<SweepPoint>,
     config_points: Vec<ConfigPoint>,
     session_points: Vec<ConfigPoint>,
+    warm_session_points: Vec<ConfigPoint>,
 }
 
 fn observe(workload: &Workload) -> Observed {
@@ -41,6 +42,9 @@ fn observe(workload: &Workload) -> Observed {
         .unwrap(),
         config_points: sweep_configs(workload, &candidates).unwrap(),
         session_points: session.sweep(workload).unwrap(),
+        // The second sweep is served from the batch caches, its keys
+        // digested on the pool frame by frame.
+        warm_session_points: session.sweep(workload).unwrap(),
     }
 }
 
@@ -115,10 +119,39 @@ fn results_are_bit_identical_at_any_thread_count() {
         "iterated sweep must hit the batch cache: {snapshot:?}"
     );
     assert_eq!(
+        snapshot
+            .histograms
+            .get("gpusim.sweep.digest_ns")
+            .map(|h| h.count),
+        Some(2),
+        "each sweep digests its batch keys once: {snapshot:?}"
+    );
+    assert_eq!(
         snapshot.counter("gpusim.draw_cache.bypassed"),
         Some(0),
         "sub-window stream must keep memoizing"
     );
+
+    // Traced, the same iterated sweep splits digest time from candidate
+    // time: one `sweep.digest` span per sweep and one `sweep.candidate`
+    // per candidate per sweep, in a timeline that validates.
+    subset3d_obs::start_tracing(subset3d_obs::TraceMode::Full);
+    let candidates = ArchConfig::pathfinding_candidates();
+    let traced = SweepSession::new(&candidates).unwrap();
+    assert_eq!(traced.sweep(&small).unwrap(), first);
+    assert_eq!(traced.sweep(&small).unwrap(), first);
+    let events = subset3d_obs::stop_tracing();
+    let stages = subset3d_obs::self_time(&events);
+    let count = |name: &str| {
+        stages
+            .iter()
+            .find(|s| s.name == name)
+            .map_or(0, |s| s.count)
+    };
+    assert_eq!(count("sweep.digest"), 2);
+    assert_eq!(count("sweep.candidate"), 2 * candidates.len() as u64);
+    let chrome = subset3d_obs::export_chrome(&events, &subset3d_obs::thread_names());
+    subset3d_obs::validate_chrome(&chrome).unwrap();
 }
 
 fn compare(observed: &Observed, reference: &Observed, threads: usize) {
@@ -142,6 +175,14 @@ fn compare(observed: &Observed, reference: &Observed, threads: usize) {
         assert_eq!(
             observed.session_points, reference.session_points,
             "sweep session at {threads} threads"
+        );
+        assert_eq!(
+            observed.warm_session_points, reference.warm_session_points,
+            "warm sweep session at {threads} threads"
+        );
+        assert_eq!(
+            reference.warm_session_points, reference.session_points,
+            "warm sweep session diverged from its cold pass"
         );
     }
 }

@@ -12,7 +12,9 @@
 use crate::kind::FeatureKind;
 use crate::matrix::FeatureMatrix;
 use crate::vector::FeatureVector;
-use subset3d_trace::{DepthMode, DrawCall, DrawColumns, Frame, InstructionMix, ShaderId, Workload};
+use subset3d_trace::{
+    DepthMode, DrawCall, DrawColumns, Frame, InstructionMix, ShaderId, TextureId, Workload,
+};
 
 /// log₂(1 + x): the transform applied to size-like features.
 fn log2p1(x: f64) -> f64 {
@@ -50,6 +52,38 @@ impl MixTable {
             .get(id.raw() as usize)
             .copied()
             .unwrap_or_default()
+    }
+}
+
+/// Dense texture-id → footprint table, built once per frame so the
+/// footprint loop never touches the registry's `BTreeMap`. Unknown ids
+/// hold `None` and are skipped, exactly like
+/// [`subset3d_trace::TextureRegistry::combined_footprint`].
+struct FootprintTable {
+    bytes: Vec<Option<f64>>,
+}
+
+impl FootprintTable {
+    fn new(workload: &Workload) -> Self {
+        let textures = workload.textures();
+        let len = textures
+            .iter()
+            .last()
+            .map(|t| t.id.raw() as usize + 1)
+            .unwrap_or(0);
+        let mut bytes = vec![None; len];
+        for t in textures.iter() {
+            bytes[t.id.raw() as usize] = Some(t.footprint_bytes());
+        }
+        FootprintTable { bytes }
+    }
+
+    /// Combined footprint of `ids`, summed in binding order with the same
+    /// `filter_map(..).sum()` as the registry, so the bits match.
+    fn combined(&self, ids: &[TextureId]) -> f64 {
+        ids.iter()
+            .filter_map(|id| self.bytes.get(id.raw() as usize).copied().flatten())
+            .sum()
     }
 }
 
@@ -163,9 +197,9 @@ fn fill_feature_column(
             }
         }
         FeatureKind::TextureFootprint => {
-            let registry = workload.textures();
+            let table = FootprintTable::new(workload);
             for (i, o) in out.iter_mut().enumerate() {
-                *o = log2p1(registry.combined_footprint(cols.textures_of(i)));
+                *o = log2p1(table.combined(cols.textures_of(i)));
             }
         }
         FeatureKind::TexelLocality => out.copy_from_slice(cols.texel_localities()),
@@ -354,6 +388,47 @@ mod tests {
             let v = extract_draw_features(draw, &w, &kinds);
             assert_eq!(m.row(i), v.as_slice());
         }
+    }
+
+    #[test]
+    fn dangling_texture_matches_in_frame_matrix() {
+        // Unknown texture ids — past the registry's end and inside a gap
+        // punched into it — are skipped by the columnar footprint table
+        // exactly as by the registry lookup, in binding order.
+        let w = workload();
+        let mut textures = subset3d_trace::TextureRegistry::new();
+        for t in w.textures().iter().filter(|t| t.id.raw() != 1) {
+            textures.insert(*t);
+        }
+        let w = Workload::new(
+            w.name.clone(),
+            w.frames().to_vec(),
+            w.shaders().clone(),
+            textures,
+            w.states().clone(),
+        );
+        let mut draws = w.frames()[0].to_draws();
+        draws[2].textures = vec![TextureId(60_000)];
+        draws[3].textures.push(TextureId(60_000));
+        draws[4].textures.insert(0, TextureId(1));
+        let frame = Frame::new(w.frames()[0].id, draws.clone());
+        let kinds = FeatureKind::standard_set();
+        let m = extract_frame_features(&frame, &w, kinds.clone());
+        for (i, draw) in draws.iter().enumerate() {
+            let v = extract_draw_features(draw, &w, &kinds);
+            let (got, want): (Vec<u64>, Vec<u64>) = m
+                .row(i)
+                .iter()
+                .zip(v.as_slice())
+                .map(|(a, b)| (a.to_bits(), b.to_bits()))
+                .unzip();
+            assert_eq!(got, want, "draw {i}");
+        }
+        let at = |i: usize| {
+            let v = extract_draw_features(&draws[i], &w, &[FeatureKind::TextureFootprint]);
+            v.as_slice()[0]
+        };
+        assert_eq!(at(2), 0.0, "an unknown id contributes nothing");
     }
 
     #[test]

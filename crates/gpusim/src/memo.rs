@@ -34,9 +34,10 @@
 //! grain: the simulator evaluates draws in fixed-width batches, and
 //! [`CacheMode::On`] retains each batch's costs under a digest of its
 //! draw shapes. A warm pass probes once per batch (not once per draw)
-//! and copies the whole cost slice out, replacing the per-frame cache
-//! whose single-probe-per-frame design could not amortise digesting on
-//! cold streams.
+//! and reads the whole cost slice in place, replacing the per-frame
+//! cache whose single-probe-per-frame design could not amortise
+//! digesting on cold streams. A sweep session digests every batch key
+//! once per sweep and shares the keys across its candidates.
 //!
 //! The shape map is sharded to keep simulation workers from serialising
 //! on one lock; each shard is a `parking_lot::RwLock<HashMap>`.
@@ -712,8 +713,8 @@ impl ShapeCache {
 /// Thread-safe memo table from [`BatchKey`] to a batch's draw costs.
 ///
 /// One entry per distinct batch per architecture configuration; a warm
-/// re-simulation pass probes once per batch and copies the cost slice
-/// out, skipping the per-draw model entirely. Consulted only in
+/// re-simulation pass probes once per batch and reads the cost slice in
+/// place, skipping the per-draw model entirely. Consulted only in
 /// [`CacheMode::On`]; cleared with the shape cache on invalidation.
 pub(crate) struct BatchCostCache {
     map: RwLock<HashMap<BatchKey, Box<[DrawCost]>, BuildHasherDefault<PassThroughHasher>>>,
@@ -730,28 +731,32 @@ impl BatchCostCache {
         }
     }
 
-    /// The retained costs of the batch `key` describes, if any.
-    #[allow(unused_mut)]
-    pub(crate) fn get(&self, key: &BatchKey) -> Option<Vec<DrawCost>> {
-        let hit = self.map.read().get(key).map(|costs| costs.to_vec());
-        match hit {
-            Some(mut costs) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                OBS_BATCH_HITS.incr();
-                subset3d_obs::trace_instant("gpusim", "batch_cache.hit");
-                #[cfg(feature = "fault-injection")]
-                for c in &mut costs {
-                    *c = crate::fault::corrupt_hit(*c);
-                }
-                Some(costs)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                OBS_BATCH_MISSES.incr();
-                subset3d_obs::trace_instant("gpusim", "batch_cache.miss");
-                None
-            }
-        }
+    /// Hands the retained costs of the batch `key` describes to `sink`,
+    /// in draw order and under the read lock, and returns `true`; returns
+    /// `false` (and leaves `sink` uncalled) on a miss. The slice is lent,
+    /// never copied, so a caller that keeps only totals pays nothing per
+    /// draw beyond reading it.
+    pub(crate) fn visit(&self, key: &BatchKey, sink: impl FnOnce(&[DrawCost])) -> bool {
+        let map = self.map.read();
+        let Some(costs) = map.get(key) else {
+            drop(map);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            OBS_BATCH_MISSES.incr();
+            subset3d_obs::trace_instant("gpusim", "batch_cache.miss");
+            return false;
+        };
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        OBS_BATCH_HITS.incr();
+        subset3d_obs::trace_instant("gpusim", "batch_cache.hit");
+        #[cfg(feature = "fault-injection")]
+        let corrupted: Vec<DrawCost> = costs
+            .iter()
+            .map(|&c| crate::fault::corrupt_hit(c))
+            .collect();
+        #[cfg(feature = "fault-injection")]
+        let costs = &corrupted;
+        sink(costs);
+        true
     }
 
     /// Retains a freshly evaluated batch's costs. Racing inserts of the
@@ -1345,9 +1350,11 @@ mod tests {
         let costs = vec![compute(), compute()];
         let cache = BatchCostCache::new();
         let key = BatchKey::of(&[shape(0.0), shape(0.5)]);
-        assert!(cache.get(&key).is_none());
+        assert!(!cache.visit(&key, |_| panic!("a miss must not call the sink")));
         cache.insert(key, &costs);
-        assert_eq!(cache.get(&key).unwrap(), costs);
+        let mut seen = Vec::new();
+        assert!(cache.visit(&key, |c| seen.extend_from_slice(c)));
+        assert_eq!(seen, costs);
         assert_eq!(cache.counters(), (1, 1));
         assert_eq!(cache.len(), 1);
 

@@ -10,7 +10,10 @@
 //! `analyze_draw` (which is struct-at-a-time and shared with the
 //! reference model) actually runs. Batches are also the unit of
 //! parallel fan-out and of batch-grain memoization (see
-//! [`crate::memo`]).
+//! [`crate::memo`]). One traversal serves every whole-workload pass: it
+//! feeds each batch's costs into a per-frame sink, which collects them
+//! for [`Simulator::simulate_workload`] and keeps only a running total
+//! for [`crate::SweepSession`].
 
 use crate::analytic::analyze_draw;
 use crate::config::ArchConfig;
@@ -22,6 +25,7 @@ use crate::memo::{
 };
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use subset3d_stats::KahanSum;
 use subset3d_trace::{DrawCall, DrawColumns, DrawId, Frame, ShaderId, ShaderProgram, Workload};
 
 /// How many preceding draws contribute to texture-cache warmth.
@@ -229,92 +233,173 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
         frame: &Frame,
         workload: &Workload,
     ) -> Result<FrameCost, SimError> {
-        let ctx = ShaderCtx::build(workload);
-        let registry = RegistryFingerprint::of(workload.textures());
-        self.cache
-            .set_stream_key(StreamKey::of(registry, &workload.name));
-        self.frame_with_ctx(frame, workload, &ctx, registry)
+        let pass = Pass::new(workload, self.batch_width());
+        let keys = match self.cache.mode() {
+            CacheMode::On => Some(pass.frame_keys(frame)?),
+            _ => None,
+        };
+        self.cache.set_stream_key(pass.stream);
+        self.run_frame::<Vec<DrawCost>>(frame, &pass, keys.as_deref())
     }
 
-    /// [`Simulator::simulate_frame`] with the per-pass context (dense
-    /// shader table, registry fingerprint) already built — once per
-    /// pass, not once per frame.
-    fn frame_with_ctx(
+    /// The batch keys a whole-workload pass probes the batch cache with:
+    /// in [`CacheMode::On`], every frame's, digested once up front (see
+    /// [`Pass::workload_keys`]); in the other modes, none — they never
+    /// retain batches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownShader`] for the first dangling shader
+    /// reference in draw order.
+    pub(crate) fn pass_keys(
+        &self,
+        pass: &Pass<'_>,
+    ) -> Result<Option<Vec<Vec<BatchKey>>>, SimError> {
+        match self.cache.mode() {
+            CacheMode::On => pass.workload_keys().map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    /// Simulated total time of a whole pass, in nanoseconds: each frame's
+    /// draw times streamed into a [`KahanSum`] as their batches complete,
+    /// then [`subset3d_stats::sum_iter`] over the frame totals. Those are
+    /// the operations [`FrameCost::from_draws`] and
+    /// [`WorkloadCost::from_frames`] perform, in the same order, so the
+    /// result equals `simulate_workload(..)?.total_ns` bit for bit without
+    /// materialising a single [`DrawCost`].
+    pub(crate) fn total_ns(
+        &self,
+        pass: &Pass<'_>,
+        keys: Option<&[Vec<BatchKey>]>,
+    ) -> Result<f64, SimError>
+    where
+        C: Sync,
+    {
+        Ok(subset3d_stats::sum_iter(
+            self.run_pass::<KahanSum>(pass, keys)?,
+        ))
+    }
+
+    /// The batch traversal behind every whole-workload pass: walks every
+    /// frame of `pass` in fixed-width batches and feeds each batch's costs
+    /// into a per-frame sink `S`, in draw order. `keys` (from
+    /// [`Simulator::pass_keys`]) are the batches' digests, frame by frame.
+    ///
+    /// Frames are independent (cache warmth is tracked within a frame)
+    /// and batches within a frame are independent too (warmth looks
+    /// backwards into the columns, not at other batches' outputs), so
+    /// large workloads flatten into one task list of fixed-width batches
+    /// and fan out over the shared [`subset3d_exec`] pool in chunks, all
+    /// workers feeding one memo cache; each task's costs are then fed to
+    /// its frame's sink in task order, which is bit-identical to a
+    /// sequential pass at any thread count.
+    fn run_pass<S: FrameSink>(
+        &self,
+        pass: &Pass<'_>,
+        keys: Option<&[Vec<BatchKey>]>,
+    ) -> Result<Vec<S::Frame>, SimError>
+    where
+        C: Sync,
+    {
+        self.cache.set_stream_key(pass.stream);
+        let frames = pass.workload.frames();
+        // Below ~1000 draws scheduling overhead outweighs the work.
+        if subset3d_exec::thread_count() < 2 || pass.workload.total_draws() < 1000 {
+            return frames
+                .iter()
+                .enumerate()
+                .map(|(f, frame)| self.run_frame::<S>(frame, pass, keys.map(|k| &k[f][..])))
+                .collect();
+        }
+        let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
+        for (f, frame) in frames.iter().enumerate() {
+            for (b, (start, end)) in pass.batches(frame.draw_count()).enumerate() {
+                tasks.push((f, b, start, end));
+            }
+        }
+        // Batches are uniform and cheap; claiming a handful at a time
+        // keeps the pool's shared counter off the hot path while still
+        // load-balancing across workers.
+        let chunk = (tasks.len() / (subset3d_exec::thread_count() * 4)).clamp(1, 8);
+        let results = subset3d_exec::par_map_chunked(&tasks, chunk, |_, &(f, b, start, end)| {
+            let mut costs = Vec::with_capacity(end - start);
+            self.simulate_batch(
+                frames[f].columns(),
+                pass,
+                start,
+                end,
+                keys.map(|k| &k[f][b]),
+                |c| costs.extend_from_slice(c),
+            )?;
+            Ok(costs)
+        });
+        // Tasks were generated in draw order, so feeding results in task
+        // order reassembles every frame exactly as the sequential path
+        // would.
+        let mut sinks: Vec<S> = frames.iter().map(|f| S::start(f.draw_count())).collect();
+        for (&(f, ..), result) in tasks.iter().zip(results) {
+            sinks[f].batch(&result?);
+        }
+        Ok(sinks.into_iter().map(S::finish).collect())
+    }
+
+    /// One frame of [`Simulator::run_pass`], batch by batch, on the
+    /// calling thread.
+    fn run_frame<S: FrameSink>(
         &self,
         frame: &Frame,
-        workload: &Workload,
-        ctx: &ShaderCtx<'_>,
-        registry: RegistryFingerprint,
-    ) -> Result<FrameCost, SimError> {
+        pass: &Pass<'_>,
+        keys: Option<&[BatchKey]>,
+    ) -> Result<S::Frame, SimError> {
         let cols = frame.columns();
-        let width = self.batch_width();
-        let mut draws = Vec::with_capacity(cols.len());
-        let mut start = 0;
-        while start < cols.len() {
-            let end = (start + width).min(cols.len());
-            draws.extend(self.simulate_batch(cols, workload, ctx, registry, start, end)?);
-            start = end;
+        let mut sink = S::start(cols.len());
+        for (b, (start, end)) in pass.batches(cols.len()).enumerate() {
+            self.simulate_batch(cols, pass, start, end, keys.map(|k| &k[b]), |c| {
+                sink.batch(c)
+            })?;
         }
-        Ok(FrameCost::from_draws(draws))
+        Ok(sink.finish())
     }
 
     /// Simulates the draws `start..end` of one frame's columns — the
-    /// fixed-width batch at the heart of the hot path.
+    /// fixed-width batch at the heart of the hot path — and hands their
+    /// costs to `sink`, in draw order.
     ///
-    /// Shader resolution for the whole range comes first, so dangling
-    /// references are reported identically whether or not any cache
-    /// would have served the content. In [`CacheMode::On`] the batch's
-    /// shape digests are folded into a [`BatchKey`] and the batch cache
-    /// probed once; a hit returns the whole cost slice without any
-    /// shape-grain work. Otherwise each draw goes through the shape
-    /// cache, materialising a [`DrawCall`] for `analyze_draw` only on a
-    /// miss — unless the shape cache is bypassed (`Off`, or adaptively
-    /// disabled), in which case the batch computes directly with no
-    /// digest or probe work at all. `On` keeps folding batch digests
-    /// even while the draw grain is disabled: warm re-simulation passes
-    /// are served wholesale from the batch cache precisely when the
-    /// draw stream itself was judged unprofitable.
+    /// With a `key` (the batch's digest; [`CacheMode::On`] only) the
+    /// batch cache is probed once, and a hit lends the retained slice to
+    /// `sink` without any per-draw work or copy. Otherwise the batch's
+    /// shaders are resolved (a dangling reference is an error whether or
+    /// not any cache could have served the content), warmth is computed,
+    /// and each draw goes through the shape cache, materialising a
+    /// [`DrawCall`] for `analyze_draw` only on a miss — unless the shape
+    /// cache is bypassed (`Off`, or adaptively disabled), in which case
+    /// the batch computes directly with no digest or probe work at all.
+    /// A computed batch is retained under its `key`. `On` keeps batch
+    /// keys even while the draw grain is disabled: warm re-simulation
+    /// passes are served wholesale from the batch cache precisely when
+    /// the draw stream itself was judged unprofitable.
     fn simulate_batch(
         &self,
         cols: &DrawColumns,
-        workload: &Workload,
-        ctx: &ShaderCtx<'_>,
-        registry: RegistryFingerprint,
+        pass: &Pass<'_>,
         start: usize,
         end: usize,
-    ) -> Result<Vec<DrawCost>, SimError> {
-        let ids = cols.ids();
-        let vs_ids = cols.vertex_shaders();
-        let ps_ids = cols.pixel_shaders();
-        let mut resolved = Vec::with_capacity(end - start);
-        for i in start..end {
-            let vs = ctx.resolve(ids[i], vs_ids[i])?;
-            let ps = ctx.resolve(ids[i], ps_ids[i])?;
-            resolved.push((vs, ps));
-        }
-        let warmths: Vec<f64> = (start..end).map(|i| warmth_at(cols, i)).collect();
-
-        // Batch-grain probe ([`CacheMode::On`] only): the key is the
-        // fold of every member's shape, so digesting here also feeds the
-        // per-draw lookups below on a batch miss.
-        let shapes: Option<Vec<DrawShape>> = (self.cache.mode() == CacheMode::On).then(|| {
-            (start..end)
-                .map(|i| {
-                    let (vs, ps) = &resolved[i - start];
-                    shape_at(cols, i, &vs.pack, &ps.pack, registry, warmths[i - start])
-                })
-                .collect()
-        });
-        let key = shapes.as_ref().map(|s| BatchKey::of(s));
-        if let Some(key) = &key {
-            if let Some(costs) = self.batches.get(key) {
-                return Ok(costs);
+        key: Option<&BatchKey>,
+        mut sink: impl FnMut(&[DrawCost]),
+    ) -> Result<(), SimError> {
+        if let Some(key) = key {
+            if self.batches.visit(key, &mut sink) {
+                return Ok(());
             }
         }
-
-        let memoizing = self.cache.memoizing();
+        let resolved = (start..end)
+            .map(|i| pass.resolve(cols, i))
+            .collect::<Result<Vec<_>, _>>()?;
+        let warmths: Vec<f64> = (start..end).map(|i| warmth_at(cols, i)).collect();
+        let textures = pass.workload.textures();
         let mut costs = Vec::with_capacity(end - start);
-        if !memoizing {
+        if !self.cache.memoizing() {
             // Bypass fast path: while the shape cache is off (`Off`
             // mode, or adaptively self-disabled until the next
             // scheduled re-probe) the whole batch computes directly —
@@ -325,12 +410,12 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
             // scenario hold `speedup >= 1.0` against the uncached
             // baseline.
             for (k, i) in (start..end).enumerate() {
-                let (vs, ps) = &resolved[k];
+                let (vs, ps) = resolved[k];
                 costs.push(analyze_draw(
                     &cols.get(i).expect("batch index in range"),
                     vs.program,
                     ps.program,
-                    workload.textures(),
+                    textures,
                     self.config.borrow(),
                     warmths[k],
                 ));
@@ -339,19 +424,16 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
             self.cache.note_bypassed_batch();
         } else {
             for (k, i) in (start..end).enumerate() {
-                let (vs, ps) = &resolved[k];
+                let (vs, ps) = resolved[k];
                 let warmth = warmths[k];
                 costs.push(self.cache.get_or_compute(
-                    || match &shapes {
-                        Some(s) => s[k],
-                        None => shape_at(cols, i, &vs.pack, &ps.pack, registry, warmth),
-                    },
+                    || shape_at(cols, i, &vs.pack, &ps.pack, pass.registry, warmth),
                     || {
                         analyze_draw(
                             &cols.get(i).expect("batch index in range"),
                             vs.program,
                             ps.program,
-                            workload.textures(),
+                            textures,
                             self.config.borrow(),
                             warmth,
                         )
@@ -360,20 +442,16 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
             }
         }
         if let Some(key) = key {
-            self.batches.insert(key, &costs);
+            self.batches.insert(*key, &costs);
         }
-        Ok(costs)
+        sink(&costs);
+        Ok(())
     }
 
-    /// Simulates a whole workload batch by batch.
-    ///
-    /// Frames are independent (cache warmth is tracked within a frame)
-    /// and batches within a frame are independent too (warmth looks
-    /// backwards into the columns, not at other batches' outputs), so
-    /// large workloads flatten into one task list of fixed-width batches
-    /// and fan out over the shared [`subset3d_exec`] pool in chunks, all
-    /// workers feeding one memo cache; the result is bit-identical to a
-    /// sequential pass at any thread count.
+    /// Simulates a whole workload batch by batch (see
+    /// [`Simulator::run_pass`] for the traversal): frames and batches fan
+    /// out over the shared [`subset3d_exec`] pool, and the result is
+    /// bit-identical to a sequential pass at any thread count.
     ///
     /// # Errors
     ///
@@ -383,64 +461,148 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
     where
         C: Sync,
     {
-        let frames = workload.frames();
         let _t = subset3d_obs::trace_span_arg(
             "gpusim",
             "gpusim.simulate_workload",
             "frames",
-            frames.len() as u64,
+            workload.frames().len() as u64,
         );
-        let ctx = ShaderCtx::build(workload);
-        let registry = RegistryFingerprint::of(workload.textures());
-        self.cache
-            .set_stream_key(StreamKey::of(registry, &workload.name));
-        // Below ~1000 draws scheduling overhead outweighs the work.
-        if subset3d_exec::thread_count() < 2 || workload.total_draws() < 1000 {
-            let mut costs = Vec::with_capacity(frames.len());
-            for frame in frames {
-                costs.push(self.frame_with_ctx(frame, workload, &ctx, registry)?);
-            }
-            return Ok(WorkloadCost::from_frames(costs));
-        }
-        let width = self.batch_width();
-        let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-        for (frame_index, frame) in frames.iter().enumerate() {
-            let n = frame.draw_count();
-            let mut start = 0;
-            while start < n {
-                let end = (start + width).min(n);
-                tasks.push((frame_index, start, end));
-                start = end;
-            }
-        }
-        // Batches are uniform and cheap; claiming a handful at a time
-        // keeps the pool's shared counter off the hot path while still
-        // load-balancing across workers.
-        let chunk = (tasks.len() / (subset3d_exec::thread_count() * 4)).clamp(1, 8);
-        let results =
-            subset3d_exec::par_map_chunked(&tasks, chunk, |_, &(frame_index, start, end)| {
-                self.simulate_batch(
-                    frames[frame_index].columns(),
-                    workload,
-                    &ctx,
-                    registry,
-                    start,
-                    end,
-                )
-            });
-        // Tasks were generated in draw order, so concatenating results
-        // in task order reassembles every frame exactly as the
-        // sequential path would.
-        let mut per_frame: Vec<Vec<DrawCost>> = frames
-            .iter()
-            .map(|f| Vec::with_capacity(f.draw_count()))
-            .collect();
-        for (&(frame_index, _, _), result) in tasks.iter().zip(results) {
-            per_frame[frame_index].extend(result?);
-        }
+        let pass = Pass::new(workload, self.batch_width());
+        let keys = self.pass_keys(&pass)?;
         Ok(WorkloadCost::from_frames(
-            per_frame.into_iter().map(FrameCost::from_draws).collect(),
+            self.run_pass::<Vec<DrawCost>>(&pass, keys.as_deref())?,
         ))
+    }
+}
+
+/// Where [`Simulator::run_pass`] puts one frame's batch costs, fed in
+/// draw order.
+trait FrameSink {
+    /// What the sink yields per frame.
+    type Frame;
+    /// An empty sink for a frame of `draws` draws.
+    fn start(draws: usize) -> Self;
+    /// Takes the next batch's costs.
+    fn batch(&mut self, costs: &[DrawCost]);
+    /// The frame's result.
+    fn finish(self) -> Self::Frame;
+}
+
+/// Collects every draw cost: the [`FrameCost`]s of `simulate_workload`
+/// and `simulate_frame`. A batch-cache hit extends straight from the
+/// retained slice.
+impl FrameSink for Vec<DrawCost> {
+    type Frame = FrameCost;
+
+    fn start(draws: usize) -> Self {
+        Vec::with_capacity(draws)
+    }
+
+    fn batch(&mut self, costs: &[DrawCost]) {
+        self.extend_from_slice(costs);
+    }
+
+    fn finish(self) -> FrameCost {
+        FrameCost::from_draws(self)
+    }
+}
+
+/// Keeps only the frame's total time: the sweep's sink. The running sum
+/// performs [`FrameCost::from_draws`]'s summation, so the total is the
+/// same bits.
+impl FrameSink for KahanSum {
+    type Frame = f64;
+
+    fn start(_draws: usize) -> Self {
+        KahanSum::default()
+    }
+
+    fn batch(&mut self, costs: &[DrawCost]) {
+        for c in costs {
+            self.add(c.time_ns);
+        }
+    }
+
+    fn finish(self) -> f64 {
+        self.total()
+    }
+}
+
+/// What one simulation pass over a workload shares between its batches —
+/// and, in a sweep, between its candidates: the dense shader table, the
+/// registry fingerprint, the adaptation stream key, and the batch width
+/// that cuts frames into batches. None of it depends on the
+/// architecture configuration.
+pub(crate) struct Pass<'w> {
+    workload: &'w Workload,
+    ctx: ShaderCtx<'w>,
+    registry: RegistryFingerprint,
+    stream: StreamKey,
+    width: usize,
+}
+
+impl<'w> Pass<'w> {
+    /// Builds the per-pass context; `width` is clamped to at least 1.
+    pub(crate) fn new(workload: &'w Workload, width: usize) -> Self {
+        let registry = RegistryFingerprint::of(workload.textures());
+        Pass {
+            workload,
+            ctx: ShaderCtx::build(workload),
+            registry,
+            stream: StreamKey::of(registry, &workload.name),
+            width: width.max(1),
+        }
+    }
+
+    /// The `(start, end)` draw ranges of a `draws`-draw frame's batches.
+    fn batches(&self, draws: usize) -> impl Iterator<Item = (usize, usize)> {
+        let width = self.width;
+        (0..draws)
+            .step_by(width)
+            .map(move |start| (start, (start + width).min(draws)))
+    }
+
+    /// Resolves both shaders of the draw at `index`, vertex first.
+    fn resolve(
+        &self,
+        cols: &DrawColumns,
+        index: usize,
+    ) -> Result<(&ResolvedShader<'w>, &ResolvedShader<'w>), SimError> {
+        let id = cols.ids()[index];
+        Ok((
+            self.ctx.resolve(id, cols.vertex_shaders()[index])?,
+            self.ctx.resolve(id, cols.pixel_shaders()[index])?,
+        ))
+    }
+
+    /// The [`BatchKey`] of every batch of `frame`, in order: shader
+    /// resolution, warmth and the shape digest of every draw, folded per
+    /// batch. None of it depends on the configuration, so one digest
+    /// serves every candidate of a sweep.
+    fn frame_keys(&self, frame: &Frame) -> Result<Vec<BatchKey>, SimError> {
+        let cols = frame.columns();
+        let mut shapes = Vec::with_capacity(self.width.min(cols.len()));
+        self.batches(cols.len())
+            .map(|(start, end)| {
+                shapes.clear();
+                for i in start..end {
+                    let (vs, ps) = self.resolve(cols, i)?;
+                    let warmth = warmth_at(cols, i);
+                    shapes.push(shape_at(cols, i, &vs.pack, &ps.pack, self.registry, warmth));
+                }
+                Ok(BatchKey::of(&shapes))
+            })
+            .collect()
+    }
+
+    /// [`Pass::frame_keys`] of every frame, fanned out over frames on the
+    /// shared [`subset3d_exec`] pool. Errors are taken in frame order, so
+    /// the dangling reference reported is the first in draw order — the
+    /// one the traversal itself would report.
+    pub(crate) fn workload_keys(&self) -> Result<Vec<Vec<BatchKey>>, SimError> {
+        subset3d_exec::par_map_indexed(self.workload.frames(), |_, frame| self.frame_keys(frame))
+            .into_iter()
+            .collect()
     }
 }
 
@@ -886,6 +1048,51 @@ mod tests {
         let uncached = Simulator::new(ArchConfig::baseline());
         uncached.set_cache_mode(CacheMode::Off);
         assert_eq!(a, uncached.simulate_workload(&w).unwrap());
+    }
+
+    #[test]
+    fn streamed_totals_match_collected_totals() {
+        // The summing sink must reproduce `WorkloadCost::total_ns` bit for
+        // bit, cold and warm, in every mode and at ragged widths.
+        let w = workload();
+        for width in [1, 16, 64] {
+            for mode in [CacheMode::Auto, CacheMode::On, CacheMode::Off] {
+                let sim = Simulator::new(ArchConfig::baseline());
+                sim.set_batch_width(width);
+                sim.set_cache_mode(mode);
+                let pass = Pass::new(&w, width);
+                let keys = sim.pass_keys(&pass).unwrap();
+                assert_eq!(keys.is_some(), mode == CacheMode::On);
+                let streamed = sim.total_ns(&pass, keys.as_deref()).unwrap();
+                let collected = sim.simulate_workload(&w).unwrap().total_ns;
+                let again = sim.total_ns(&pass, keys.as_deref()).unwrap();
+                for got in [streamed, again] {
+                    assert_eq!(
+                        got.to_bits(),
+                        collected.to_bits(),
+                        "width {width}, mode {mode:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn on_mode_frames_hit_on_repeat() {
+        let w = workload();
+        let frame = &w.frames()[0];
+        let sim = Simulator::new(ArchConfig::baseline());
+        sim.set_cache_mode(CacheMode::On);
+        sim.set_batch_width(16);
+        let cold = sim.simulate_frame(frame, &w).unwrap();
+        let warm = sim.simulate_frame(frame, &w).unwrap();
+        assert_eq!(cold, warm);
+        let batches = frame.draw_count().div_ceil(16) as u64;
+        let stats = sim.cache_stats();
+        assert_eq!((stats.batch_hits, stats.batch_misses), (batches, batches));
+        let uncached = Simulator::new(ArchConfig::baseline());
+        uncached.set_cache_mode(CacheMode::Off);
+        assert_eq!(cold, uncached.simulate_frame(frame, &w).unwrap());
     }
 
     #[test]

@@ -4,9 +4,14 @@ use crate::config::ArchConfig;
 use crate::error::SimError;
 use crate::freq::FrequencySweep;
 use crate::memo::{CacheMode, CacheStats};
-use crate::sim::Simulator;
+use crate::sim::{Pass, Simulator};
 use serde::{Deserialize, Serialize};
+use subset3d_obs::LazyHistogram;
 use subset3d_trace::Workload;
+
+/// Time a [`SweepSession`] spends digesting a workload's batch keys, once
+/// per sweep, before any candidate runs.
+static OBS_SWEEP_DIGEST: LazyHistogram = LazyHistogram::new("gpusim.sweep.digest_ns");
 
 /// One point of a frequency sweep result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -114,6 +119,19 @@ pub fn sweep_configs(
 /// point of keeping a session, so batch costs are retained from the
 /// cold first pass onwards.
 ///
+/// A batch's key — shader resolution, warmth and the shape digest of
+/// every member — does not depend on the configuration, so each sweep
+/// digests the workload **once**, fanned out over frames, and hands the
+/// same keys to every candidate. A candidate then walks its batches: a
+/// hit streams the retained slice's draw times, in order, into the
+/// frame's [`subset3d_stats::KahanSum`]; a miss computes, retains, and
+/// streams the fresh costs the same way. No per-draw cost is copied and
+/// no [`crate::FrameCost`] is built. The candidate's total is
+/// [`subset3d_stats::sum_iter`] over its frame totals — the exact
+/// operations, in the exact order, of [`crate::FrameCost::from_draws`]
+/// and [`crate::WorkloadCost::from_frames`] — so every point equals
+/// [`sweep_configs`] bit for bit.
+///
 /// # Examples
 ///
 /// ```
@@ -172,11 +190,26 @@ impl SweepSession {
     /// Returns [`SimError::UnknownShader`] when the workload references
     /// shaders missing from its own library.
     pub fn sweep(&self, workload: &Workload) -> Result<Vec<ConfigPoint>, SimError> {
+        // Every candidate shares one cache mode and batch width.
+        let Some(first) = self.sims.first() else {
+            return Ok(Vec::new());
+        };
+        let pass = Pass::new(workload, first.batch_width());
+        let timer = subset3d_obs::span(&OBS_SWEEP_DIGEST);
+        let span = subset3d_obs::trace_span_arg(
+            "gpusim",
+            "sweep.digest",
+            "frames",
+            workload.frames().len() as u64,
+        );
+        let keys = first.pass_keys(&pass)?;
+        span.end();
+        timer.end();
         subset3d_exec::par_map_indexed(&self.sims, |i, sim| {
             let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
             Ok(ConfigPoint {
                 name: sim.config().name.clone(),
-                total_ns: sim.simulate_workload(workload)?.total_ns,
+                total_ns: sim.total_ns(&pass, keys.as_deref())?,
             })
         })
         .into_iter()
@@ -282,6 +315,79 @@ mod tests {
         assert_eq!(warm.batch_misses, cold.batch_misses);
         assert_eq!(warm.misses, cold.misses);
         assert_eq!(warm.hits, cold.hits);
+    }
+
+    /// `(name, total_ns bits)` of every point: equality is bit equality.
+    fn bits(points: &[ConfigPoint]) -> Vec<(String, u64)> {
+        points
+            .iter()
+            .map(|p| (p.name.clone(), p.total_ns.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn session_streams_multi_batch_frames_bit_identically() {
+        // 150 draws per frame: two full 64-draw batches plus a ragged
+        // 22-draw tail, so every frame total streams from several
+        // retained slices.
+        let generated = GameProfile::shooter("multi")
+            .frames(3)
+            .draws_per_frame(200)
+            .build(8)
+            .generate();
+        let w = Workload::new(
+            generated.name.clone(),
+            generated
+                .frames()
+                .iter()
+                .map(|f| subset3d_trace::Frame::new(f.id, f.to_draws()[..150].to_vec()))
+                .collect(),
+            generated.shaders().clone(),
+            generated.textures().clone(),
+            generated.states().clone(),
+        );
+        let candidates = ArchConfig::pathfinding_candidates();
+        let session = SweepSession::new(&candidates).unwrap();
+        let batches = w
+            .frames()
+            .iter()
+            .map(|f| f.draw_count().div_ceil(crate::DEFAULT_BATCH_WIDTH) as u64)
+            .sum::<u64>()
+            * candidates.len() as u64;
+        assert_eq!(batches, 3 * 3 * 6);
+
+        let cold = session.sweep(&w).unwrap();
+        assert_eq!(bits(&cold), bits(&sweep_configs(&w, &candidates).unwrap()));
+        let stats = session.cache_stats();
+        assert_eq!((stats.batch_hits, stats.batch_misses), (0, batches));
+
+        let warm = session.sweep(&w).unwrap();
+        assert_eq!(bits(&warm), bits(&cold));
+        let stats = session.cache_stats();
+        assert_eq!((stats.batch_hits, stats.batch_misses), (batches, batches));
+
+        // A dangling shader in the second batch of the last frame: the
+        // warm session must report it even though every other batch
+        // would be served from its caches, and so must an `Off` session,
+        // exactly as the one-shot sweep does.
+        let mut frames = w.frames().to_vec();
+        let last = frames.len() - 1;
+        let mut draws = frames[last].to_draws();
+        draws[100].pixel_shader = subset3d_trace::ShaderId(9999);
+        frames[last] = subset3d_trace::Frame::new(frames[last].id, draws);
+        let bad = Workload::new(
+            w.name.clone(),
+            frames,
+            w.shaders().clone(),
+            w.textures().clone(),
+            w.states().clone(),
+        );
+        let expected = sweep_configs(&bad, &candidates).unwrap_err();
+        assert!(matches!(expected, SimError::UnknownShader { .. }));
+        assert_eq!(session.sweep(&bad).unwrap_err(), expected);
+        session.set_cache_mode(CacheMode::Off);
+        assert_eq!(session.sweep(&bad).unwrap_err(), expected);
+        assert_eq!(bits(&session.sweep(&w).unwrap()), bits(&cold));
     }
 
     #[test]

@@ -25,15 +25,47 @@ pub fn sum(values: &[f64]) -> f64 {
 /// assert_eq!(subset3d_stats::sum_iter((1..=3).map(f64::from)), 6.0);
 /// ```
 pub fn sum_iter(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut acc = 0.0f64;
-    let mut comp = 0.0f64;
+    let mut acc = KahanSum::default();
     for v in values {
-        let y = v - comp;
-        let t = acc + y;
-        comp = (t - acc) - y;
-        acc = t;
+        acc.add(v);
     }
-    acc
+    acc.total()
+}
+
+/// Running Kahan-compensated sum: the accumulator behind [`sum`] and
+/// [`sum_iter`], for values that arrive in pieces. Adding values one by
+/// one performs exactly the operations of [`sum_iter`] over the same
+/// sequence, so the total is bit-identical.
+///
+/// # Examples
+///
+/// ```
+/// let mut acc = subset3d_stats::KahanSum::default();
+/// for chunk in [[1.0, 2.0], [3.0, 4.0]] {
+///     chunk.iter().for_each(|&v| acc.add(v));
+/// }
+/// assert_eq!(acc.total(), subset3d_stats::sum(&[1.0, 2.0, 3.0, 4.0]));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KahanSum {
+    acc: f64,
+    comp: f64,
+}
+
+impl KahanSum {
+    /// Adds one value.
+    #[inline]
+    pub fn add(&mut self, v: f64) {
+        let y = v - self.comp;
+        let t = self.acc + y;
+        self.comp = (t - self.acc) - y;
+        self.acc = t;
+    }
+
+    /// The sum of every value added so far.
+    pub fn total(&self) -> f64 {
+        self.acc
+    }
 }
 
 /// Arithmetic mean. Returns `0.0` for an empty slice.
@@ -59,20 +91,16 @@ pub fn mean(values: &[f64]) -> f64 {
 /// assert_eq!(subset3d_stats::mean_iter(std::iter::empty()), 0.0);
 /// ```
 pub fn mean_iter(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut acc = 0.0f64;
-    let mut comp = 0.0f64;
+    let mut acc = KahanSum::default();
     let mut n = 0u64;
     for v in values {
-        let y = v - comp;
-        let t = acc + y;
-        comp = (t - acc) - y;
-        acc = t;
+        acc.add(v);
         n += 1;
     }
     if n == 0 {
         0.0
     } else {
-        acc / n as f64
+        acc.total() / n as f64
     }
 }
 
@@ -225,6 +253,12 @@ mod tests {
             mean(&values).to_bits(),
             mean_iter(values.iter().copied()).to_bits()
         );
+        // Fed in ragged pieces, the running sum is the same sum.
+        let mut acc = KahanSum::default();
+        for piece in values.chunks(64) {
+            piece.iter().for_each(|&v| acc.add(v));
+        }
+        assert_eq!(acc.total().to_bits(), sum(&values).to_bits());
     }
 
     #[test]

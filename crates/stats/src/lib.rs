@@ -36,7 +36,7 @@ pub use bootstrap::{bootstrap_paired_ci, BootstrapCi};
 pub use correlation::{pearson, rank_agreement, spearman, CorrelationError};
 pub use descriptive::{
     geometric_mean, max, mean, mean_iter, min, population_variance, std_dev, sum, sum_iter,
-    variance,
+    variance, KahanSum,
 };
 pub use histogram::{Histogram, HistogramBin};
 pub use pca::{Pca, PcaError};
