@@ -32,8 +32,9 @@ fn bench_features(c: &mut Criterion) {
     let w = workload(1000);
     let mut m = extract_frame_features(&w.frames()[0], &w, FeatureKind::standard_set());
     m.normalize(Normalization::ZScore);
+    let rows = m.to_rows();
     group.bench_function("pca_top4_1000", |b| {
-        b.iter(|| Pca::fit(&m, 4).unwrap().explained_ratio())
+        b.iter(|| Pca::fit(&rows, 4).unwrap().explained_ratio())
     });
     group.finish();
 }

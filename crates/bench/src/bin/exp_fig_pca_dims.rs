@@ -25,7 +25,7 @@ fn main() {
         extract_frame_features(&workload.frames()[20], &workload, config.features.clone());
     matrix.normalize(Normalization::ZScore);
     matrix.apply_cost_weights();
-    let full_pca = Pca::fit(&matrix, matrix.cols()).expect("pca");
+    let full_pca = Pca::fit(&matrix.to_rows(), matrix.cols()).expect("pca");
     let total: f64 = full_pca.explained_variance().iter().sum();
     print!("variance captured by top-k components: ");
     let mut acc = 0.0;

@@ -1220,9 +1220,22 @@ mod tests {
         let (head, snapshot) = split_metrics(&text);
         assert!(head.contains("clustering efficiency"), "normal output kept");
         assert!(snapshot.enabled);
+        // A single-pass run simulates uncached: the evaluation stage ran,
+        // and the batch cache was never consulted.
         assert!(
-            snapshot.counter("gpusim.draw_cache.misses").unwrap_or(0) > 0,
-            "an instrumented run must observe cache traffic: {snapshot:?}"
+            snapshot
+                .histograms
+                .get("pipeline.evaluation_ns")
+                .is_some_and(|h| h.count > 0),
+            "an instrumented run must observe the simulated evaluation: {snapshot:?}"
+        );
+        assert_eq!(
+            (
+                snapshot.counter("gpusim.batch_cache.hits").unwrap_or(0),
+                snapshot.counter("gpusim.batch_cache.misses").unwrap_or(0),
+            ),
+            (0, 0),
+            "a single-pass run must not consult the batch cache: {snapshot:?}"
         );
         assert!(
             snapshot.histograms.contains_key("pipeline.total_ns"),
@@ -1252,13 +1265,20 @@ mod tests {
         let text = run(&["stats", &trace, "--json"]).unwrap();
         let snapshot: subset3d_obs::MetricsSnapshot =
             serde_json::from_str(&text).expect("pure snapshot JSON");
-        assert!(
-            snapshot.counter("gpusim.batch_cache.hits").unwrap_or(0) > 0,
+        // Six one-batch frames per candidate: the cold sweep misses every
+        // batch, the warm sweep hits every one.
+        let batches = 6 * ArchConfig::pathfinding_candidates().len() as u64;
+        assert_eq!(
+            (
+                snapshot.counter("gpusim.batch_cache.hits"),
+                snapshot.counter("gpusim.batch_cache.misses"),
+            ),
+            (Some(batches), Some(batches)),
             "iterated sweep must hit the batch cache: {snapshot:?}"
         );
 
         let table = run(&["stats", &trace]).unwrap();
-        assert!(table.contains("gpusim.draw_cache.hits"));
+        assert!(table.contains("gpusim.batch_cache.hits"));
         assert!(table.contains("pipeline.total_ns"));
         assert!(table.contains("metric shards:"));
         std::fs::remove_file(&trace).ok();

@@ -58,6 +58,17 @@ fn results_are_bit_identical_at_any_thread_count() {
         .generate();
     assert!(workload.total_draws() >= 1000);
 
+    let candidates = ArchConfig::pathfinding_candidates().len() as u64;
+    let batches = |w: &Workload| -> u64 {
+        w.frames()
+            .iter()
+            .map(|f| {
+                f.draw_count()
+                    .div_ceil(subset3d_gpusim::DEFAULT_BATCH_WIDTH) as u64
+            })
+            .sum()
+    };
+    let session_batches = batches(&workload) * candidates;
     let max = subset3d_exec::default_threads().max(4);
     subset3d_exec::set_thread_count(1);
     let reference = observe(&workload);
@@ -79,24 +90,22 @@ fn results_are_bit_identical_at_any_thread_count() {
         let snapshot = subset3d_obs::snapshot();
         subset3d_obs::set_enabled(false);
         compare(&observed, &reference, threads);
-        // Earlier (metrics-off) runs may have published an adaptation
-        // hint for this stream, in which case later simulators start
-        // bypassed instead of probing a window — either way the draw
-        // cache saw every lookup, and the snapshot must show it.
-        let draw_lookups = snapshot.counter("gpusim.draw_cache.misses").unwrap_or(0)
-            + snapshot.counter("gpusim.draw_cache.hits").unwrap_or(0)
-            + snapshot.counter("gpusim.draw_cache.bypassed").unwrap_or(0);
-        assert!(
-            draw_lookups > 0,
-            "instrumented run recorded no cache traffic at {threads} threads: {snapshot:?}"
+        // Only the sweep session retains batches: its cold sweep misses
+        // every batch of every candidate and its warm sweep hits each
+        // one, whatever the thread count.
+        assert_eq!(
+            (
+                snapshot.counter("gpusim.batch_cache.misses"),
+                snapshot.counter("gpusim.batch_cache.hits"),
+            ),
+            (Some(session_batches), Some(session_batches)),
+            "instrumented run miscounted batch-cache traffic at {threads} threads: {snapshot:?}"
         );
     }
 
     // An iterated sweep session replays identical frames into warm
-    // caches; the snapshot must show the hits. A small workload keeps
-    // every simulator under the Auto adaptation window and below the
-    // parallel-dispatch threshold, so its cross-frame draw repetition
-    // yields the same hit counts at any thread count.
+    // caches; the snapshot must show every batch missed once and hit
+    // once.
     subset3d_obs::reset();
     subset3d_obs::set_enabled(true);
     let small = GameProfile::shooter("warm")
@@ -110,12 +119,10 @@ fn results_are_bit_identical_at_any_thread_count() {
     let snapshot = subset3d_obs::snapshot();
     subset3d_obs::set_enabled(false);
     assert_eq!(first, second, "warm sweep must be bit-identical");
-    assert!(
-        snapshot.counter("gpusim.draw_cache.hits").unwrap_or(0) > 0,
-        "iterated sweep must hit the draw cache: {snapshot:?}"
-    );
-    assert!(
-        snapshot.counter("gpusim.batch_cache.hits").unwrap_or(0) > 0,
+    let small_batches = batches(&small) * candidates;
+    assert_eq!(
+        snapshot.counter("gpusim.batch_cache.hits"),
+        Some(small_batches),
         "iterated sweep must hit the batch cache: {snapshot:?}"
     );
     assert_eq!(
@@ -127,9 +134,9 @@ fn results_are_bit_identical_at_any_thread_count() {
         "each sweep digests its batch keys once: {snapshot:?}"
     );
     assert_eq!(
-        snapshot.counter("gpusim.draw_cache.bypassed"),
-        Some(0),
-        "sub-window stream must keep memoizing"
+        snapshot.counter("gpusim.batch_cache.misses"),
+        Some(small_batches),
+        "only the cold sweep may evaluate: {snapshot:?}"
     );
 
     // Traced, the same iterated sweep splits digest time from candidate

@@ -1253,6 +1253,41 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_library_id_in_open_is_refused_and_the_listener_survives() {
+        let w = workload(2);
+        let server = spawn_server(NetServerConfig::default());
+
+        // A well-formed OPEN whose first shader claims id u32::MAX: the
+        // decoder must refuse it before any table is sized by that id.
+        let mut payload = encode_workload(&w).to_vec();
+        let at = 4 + 2 + 4 + w.name.len() + 4;
+        let first = w.shaders().iter().next().expect("a shader").id.raw();
+        assert_eq!(payload[at..at + 4], first.to_be_bytes(), "first shader id");
+        payload[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        {
+            let mut raw = raw_connect(server.addr());
+            hello(&mut raw);
+            write_message(&mut raw, MSG_OPEN, &payload).expect("write");
+            let (ty, reply) = read_message(&mut raw, DEFAULT_MAX_MESSAGE_BYTES, None)
+                .expect("reply")
+                .expect("reply");
+            assert_eq!(ty, MSG_ERROR);
+            assert_eq!(reply[0], CODE_PROTOCOL);
+            let text = String::from_utf8_lossy(&reply[1..]);
+            assert!(text.contains("shader id 4294967295"), "{text}");
+        }
+        assert_eq!(server.manager().session_count(), 0);
+
+        // The next connection is served as usual.
+        let mut client = NetClient::connect(&server.addr().to_string()).unwrap();
+        let session = client.open(&w).unwrap();
+        client.ingest(session, w.frames()).unwrap();
+        client.close(session).unwrap();
+        let stats = server.stop();
+        assert_eq!(stats.protocol_errors, 1);
+    }
+
+    #[test]
     fn mid_stream_disconnect_keeps_the_registry_consistent() {
         let w = workload(4);
         let server = spawn_server(NetServerConfig::default());

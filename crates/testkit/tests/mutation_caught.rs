@@ -1,16 +1,16 @@
 //! Proves the differential oracle has teeth: with the test-only
-//! `fault-injection` hook armed, a memo-cache hit returns its stored cost
-//! with `time_ns` flipped by one ulp — the smallest possible corruption —
-//! and the oracle must still name it. A sweep session, which streams
-//! batch-cache hits straight into candidate totals, must surface the same
-//! flip in at least one total.
+//! `fault-injection` hook armed, a batch-cache hit returns its stored
+//! costs with `time_ns` flipped by one ulp — the smallest possible
+//! corruption — and the oracle must still name it. A sweep session,
+//! which streams batch-cache hits straight into candidate totals, must
+//! surface the same flip in at least one total.
 //!
 //! Gated behind `required-features = ["fault-injection"]`: plain
 //! `cargo test` never compiles the hook. Run via
 //! `cargo test -p subset3d-testkit --features fault-injection`.
 
 use std::sync::{Mutex, MutexGuard};
-use subset3d_gpusim::{fault, ArchConfig, ConfigPoint, Simulator, SweepSession};
+use subset3d_gpusim::{fault, ArchConfig, CacheMode, ConfigPoint, Simulator, SweepSession};
 use subset3d_testkit::corpus::golden_corpus;
 use subset3d_testkit::oracle::run_oracle;
 
@@ -42,21 +42,27 @@ fn one_ulp_memo_corruption_is_caught() {
     let _guard = Disarm::take();
     let (_, workload) = golden_corpus().remove(0);
     let sim = Simulator::new(ArchConfig::baseline());
+    sim.set_cache_mode(CacheMode::On);
 
-    // Pass 1, disarmed: populates the memo cache; oracle must be clean.
+    // Pass 1, disarmed: populates the batch cache; oracle must be clean.
     run_oracle("mutation/populate", &workload, &sim)
         .unwrap()
         .assert_clean();
+    let populated = sim.cache_stats();
     assert!(
-        sim.cache_stats().hits > 0,
-        "corpus must exercise the memo cache or this test is vacuous"
+        populated.batch_misses > 0,
+        "populate pass must retain batches"
     );
 
-    // Pass 2, armed: every draw served from the cache carries a one-ulp
+    // Pass 2, armed: every draw served from a batch hit carries a one-ulp
     // flip in time_ns. The bitwise oracle must report it.
     fault::arm();
     let report = run_oracle("mutation/armed", &workload, &sim).unwrap();
     fault::disarm();
+    assert!(
+        sim.cache_stats().batch_hits > populated.batch_hits,
+        "armed pass must be served from the batch cache or this test is vacuous"
+    );
     assert!(
         !report.is_clean(),
         "armed one-ulp memo corruption went undetected"
@@ -70,6 +76,7 @@ fn one_ulp_memo_corruption_is_caught() {
     // Disarmed again on a fresh simulator: clean, proving the divergence
     // above came from the armed hook and nothing else.
     let fresh = Simulator::new(ArchConfig::baseline());
+    fresh.set_cache_mode(CacheMode::On);
     run_oracle("mutation/disarmed", &workload, &fresh)
         .unwrap()
         .assert_clean();
@@ -100,9 +107,8 @@ fn one_ulp_corruption_of_streamed_sweep_hits_is_caught() {
     let served = session.cache_stats();
     assert_eq!(served.batch_hits, filled.batch_misses, "warm pass must hit");
     assert_eq!(
-        (served.hits, served.misses),
-        (filled.hits, filled.misses),
-        "hits must bypass the shape grain, or this test is not about them"
+        served.batch_misses, filled.batch_misses,
+        "the warm pass must evaluate nothing, or this test is not about hits"
     );
     assert!(
         total_bits(&armed)

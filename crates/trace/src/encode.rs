@@ -35,6 +35,18 @@ pub enum EncodeError {
         /// The offending tag value.
         tag: u8,
     },
+    /// A shader or texture id was not below its library section's
+    /// declared entry count. Libraries number their entries 0, 1, 2, …,
+    /// and consumers size dense lookup tables by the largest id, so an
+    /// unbounded id would let one entry demand billions of slots.
+    IdOutOfRange {
+        /// Which section declared the id.
+        what: &'static str,
+        /// The offending id.
+        id: u32,
+        /// The section's declared entry count.
+        count: usize,
+    },
 }
 
 impl fmt::Display for EncodeError {
@@ -44,6 +56,9 @@ impl fmt::Display for EncodeError {
             EncodeError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
             EncodeError::Truncated => write!(f, "trace buffer is truncated"),
             EncodeError::BadTag { what, tag } => write!(f, "invalid {what} tag {tag}"),
+            EncodeError::IdOutOfRange { what, id, count } => {
+                write!(f, "{what} id {id} is not below the section's count {count}")
+            }
         }
     }
 }
@@ -103,7 +118,8 @@ pub fn encode_workload(w: &Workload) -> Bytes {
 /// # Errors
 ///
 /// Returns an [`EncodeError`] when the buffer is not a valid trace of a
-/// supported version.
+/// supported version, including [`EncodeError::IdOutOfRange`] for a
+/// shader or texture id that is not below its section's entry count.
 pub fn decode_workload(mut buf: &[u8]) -> Result<Workload, EncodeError> {
     if buf.remaining() < 6 {
         return Err(EncodeError::Truncated);
@@ -120,12 +136,16 @@ pub fn decode_workload(mut buf: &[u8]) -> Result<Workload, EncodeError> {
     let n_shaders = get_u32(&mut buf)? as usize;
     let mut shaders = ShaderLibrary::new();
     for _ in 0..n_shaders {
-        shaders.insert(get_shader(&mut buf)?);
+        let shader = get_shader(&mut buf)?;
+        check_id("shader", shader.id.raw(), n_shaders)?;
+        shaders.insert(shader);
     }
     let n_textures = get_u32(&mut buf)? as usize;
     let mut textures = TextureRegistry::new();
     for _ in 0..n_textures {
-        textures.insert(get_texture(&mut buf)?);
+        let texture = get_texture(&mut buf)?;
+        check_id("texture", texture.id.raw(), n_textures)?;
+        textures.insert(texture);
     }
     let n_states = get_u32(&mut buf)? as usize;
     let mut states = StateTable::new();
@@ -238,6 +258,15 @@ fn get_str(buf: &mut &[u8]) -> Result<String, EncodeError> {
 fn get_u32(buf: &mut &[u8]) -> Result<u32, EncodeError> {
     need(buf, 4)?;
     Ok(buf.get_u32())
+}
+
+/// Rejects a library id that is not below its section's entry count.
+fn check_id(what: &'static str, id: u32, count: usize) -> Result<(), EncodeError> {
+    if (id as usize) < count {
+        Ok(())
+    } else {
+        Err(EncodeError::IdOutOfRange { what, id, count })
+    }
 }
 
 fn need(buf: &[u8], n: usize) -> Result<(), EncodeError> {
@@ -594,6 +623,60 @@ mod tests {
         let bin = encode_workload(&w).len();
         let json = serde_json::to_vec(&w).unwrap().len();
         assert!(bin < json, "binary {bin} should beat json {json}");
+    }
+
+    #[test]
+    fn library_ids_at_or_past_the_section_count_are_rejected() {
+        let w = sample();
+        let encoded = encode_workload(&w).to_vec();
+        // The first shader's id follows the magic, the version, the
+        // length-prefixed name and the shader count.
+        let at = 4 + 2 + 4 + w.name.len() + 4;
+        assert_eq!(
+            u32::from_be_bytes(encoded[at..at + 4].try_into().unwrap()),
+            w.shaders().iter().next().unwrap().id.raw(),
+            "offset must land on the first shader id"
+        );
+        let shaders = w.shaders().len();
+        for id in [shaders as u32, u32::MAX] {
+            let mut hostile = encoded.clone();
+            hostile[at..at + 4].copy_from_slice(&id.to_be_bytes());
+            assert_eq!(
+                decode_workload(&hostile),
+                Err(EncodeError::IdOutOfRange {
+                    what: "shader",
+                    id,
+                    count: shaders,
+                })
+            );
+        }
+
+        // A one-texture workload whose texture claims id 1.
+        let mut textures = TextureRegistry::new();
+        textures.insert(TextureDesc {
+            id: TextureId(1),
+            width: 4,
+            height: 4,
+            mips: 1,
+            format: TextureFormat::Rgba8,
+        });
+        let sparse = Workload::new(
+            "sparse".to_string(),
+            Vec::new(),
+            ShaderLibrary::new(),
+            textures,
+            StateTable::new(),
+        );
+        let err = decode_workload(&encode_workload(&sparse)).unwrap_err();
+        assert_eq!(
+            err,
+            EncodeError::IdOutOfRange {
+                what: "texture",
+                id: 1,
+                count: 1,
+            }
+        );
+        assert!(err.to_string().contains("texture id 1"), "{err}");
     }
 
     #[test]

@@ -15,14 +15,18 @@ use subset3d_testkit::oracle::run_oracle_all_modes;
 fn differential_oracle_reports_zero_divergence() {
     let config = ArchConfig::baseline();
     let mut draws_compared = 0;
+    let mut corpus_draws = 0;
     for (name, workload) in oracle_corpus() {
         let report = run_oracle_all_modes(name, &workload, &config)
             .unwrap_or_else(|e| panic!("oracle failed on {name}: {e}"));
         report.assert_clean();
         draws_compared += report.draws_compared;
+        corpus_draws += workload.total_draws();
     }
+    // Every draw, under both cache modes, twice.
+    assert_eq!(draws_compared, corpus_draws * 2 * 2);
     assert!(
-        draws_compared >= 3 * 1000 * 3 * 2,
-        "corpus shrank below the intended coverage: {draws_compared} draw comparisons"
+        corpus_draws >= 3 * 1000,
+        "corpus shrank below the intended coverage: {corpus_draws} draws"
     );
 }
