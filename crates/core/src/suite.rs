@@ -8,7 +8,7 @@
 use crate::config::SubsetConfig;
 use crate::error::SubsetError;
 use crate::pipeline::{Subsetter, SubsettingOutcome};
-use subset3d_gpusim::{ArchConfig, FrequencySweep, Simulator};
+use subset3d_gpusim::{sweep_frequencies, ArchConfig, FrequencySweep, Simulator};
 use subset3d_stats::{mean, pearson};
 use subset3d_trace::Workload;
 
@@ -132,14 +132,21 @@ pub fn validate_suite_scaling(
     base: &ArchConfig,
     sweep: &FrequencySweep,
 ) -> Result<(Vec<f64>, Vec<f64>, f64), SubsetError> {
+    // One batch-major sweep per game; the suite totals add the games in
+    // suite order.
+    let swept = workloads
+        .iter()
+        .zip(&outcome.games)
+        .map(|(w, _)| sweep_frequencies(w, base, sweep))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut parent_times = Vec::with_capacity(sweep.len());
     let mut subset_times = Vec::with_capacity(sweep.len());
-    for config in sweep.configs(base) {
+    for (i, config) in sweep.configs(base).into_iter().enumerate() {
         let sim = Simulator::new(config);
         let mut parent = 0.0;
         let mut subset = 0.0;
-        for (w, (_, o)) in workloads.iter().zip(&outcome.games) {
-            parent += sim.simulate_workload(w)?.total_ns;
+        for ((w, (_, o)), points) in workloads.iter().zip(&outcome.games).zip(&swept) {
+            parent += points[i].total_ns;
             subset += o.subset.replay(w, &sim)?;
         }
         parent_times.push(parent);

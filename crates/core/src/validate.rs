@@ -4,7 +4,7 @@
 use crate::error::SubsetError;
 use crate::subset::WorkloadSubset;
 use serde::{Deserialize, Serialize};
-use subset3d_gpusim::{ArchConfig, FrequencySweep, Simulator};
+use subset3d_gpusim::{sweep_configs, sweep_frequencies, ArchConfig, FrequencySweep, Simulator};
 use subset3d_stats::{pearson, rank_agreement};
 use subset3d_trace::Workload;
 
@@ -52,13 +52,14 @@ pub fn frequency_scaling_validation(
     base: &ArchConfig,
     sweep: &FrequencySweep,
 ) -> Result<ScalingValidation, SubsetError> {
-    let mut parent_times = Vec::with_capacity(sweep.len());
+    let parent_times: Vec<f64> = sweep_frequencies(workload, base, sweep)?
+        .iter()
+        .map(|p| p.total_ns)
+        .collect();
     let mut subset_times = Vec::with_capacity(sweep.len());
     for (i, config) in sweep.configs(base).into_iter().enumerate() {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::new(config);
-        parent_times.push(sim.simulate_workload(workload)?.total_ns);
-        subset_times.push(subset.replay(workload, &sim)?);
+        let _t = subset3d_obs::trace_span_arg("gpusim", "validate.replay", "index", i as u64);
+        subset_times.push(subset.replay(workload, &Simulator::new(config))?);
     }
     let parent_improvement = FrequencySweep::improvement_series(&parent_times);
     let subset_improvement = FrequencySweep::improvement_series(&subset_times);
@@ -89,13 +90,14 @@ pub fn pathfinding_rank_validation(
     subset: &WorkloadSubset,
     candidates: &[ArchConfig],
 ) -> Result<(Vec<f64>, Vec<f64>, f64), SubsetError> {
-    let mut parent = Vec::with_capacity(candidates.len());
+    let parent: Vec<f64> = sweep_configs(workload, candidates)?
+        .iter()
+        .map(|p| p.total_ns)
+        .collect();
     let mut estimate = Vec::with_capacity(candidates.len());
     for (i, config) in candidates.iter().enumerate() {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::new(config.clone());
-        parent.push(sim.simulate_workload(workload)?.total_ns);
-        estimate.push(subset.replay(workload, &sim)?);
+        let _t = subset3d_obs::trace_span_arg("gpusim", "validate.replay", "index", i as u64);
+        estimate.push(subset.replay(workload, &Simulator::new(config.clone()))?);
     }
     let agreement = rank_agreement(&parent, &estimate).map_err(|e| SubsetError::InvalidConfig {
         reason: format!("rank agreement undefined: {e}"),

@@ -139,9 +139,10 @@ fn results_are_bit_identical_at_any_thread_count() {
         "only the cold sweep may evaluate: {snapshot:?}"
     );
 
-    // Traced, the same iterated sweep splits digest time from candidate
-    // time: one `sweep.digest` span per sweep and one `sweep.candidate`
-    // per candidate per sweep, in a timeline that validates.
+    // Traced, the same iterated sweep splits digest time from evaluation
+    // time: one `sweep.digest` span and one batch-major `sweep.evaluate`
+    // span (all candidates at once) per sweep, in a timeline that
+    // validates.
     subset3d_obs::start_tracing(subset3d_obs::TraceMode::Full);
     let candidates = ArchConfig::pathfinding_candidates();
     let traced = SweepSession::new(&candidates).unwrap();
@@ -156,7 +157,18 @@ fn results_are_bit_identical_at_any_thread_count() {
             .map_or(0, |s| s.count)
     };
     assert_eq!(count("sweep.digest"), 2);
-    assert_eq!(count("sweep.candidate"), 2 * candidates.len() as u64);
+    assert_eq!(count("sweep.evaluate"), 2);
+    for ev in events.iter().filter(|e| e.name == "sweep.evaluate") {
+        assert_eq!(
+            (ev.arg_key, ev.arg_val, ev.arg2_key, ev.arg2_val),
+            (
+                "candidates",
+                candidates.len() as u64,
+                "frames",
+                small.frames().len() as u64
+            )
+        );
+    }
     let chrome = subset3d_obs::export_chrome(&events, &subset3d_obs::thread_names());
     subset3d_obs::validate_chrome(&chrome).unwrap();
 }

@@ -1,6 +1,6 @@
 //! Pipeline stages and per-draw service-time derivation.
 
-use crate::analytic;
+use crate::analytic::DrawWork;
 use crate::config::ArchConfig;
 use subset3d_trace::{DrawCall, ShaderProgram, TextureRegistry};
 
@@ -47,9 +47,9 @@ impl PipeStage {
 /// Per-draw service times in nanoseconds, one entry per [`PipeStage::ORDER`].
 pub type ServiceTimes = [f64; PipeStage::COUNT];
 
-/// Derives the service time of every stage for one draw, using the same
-/// per-stage cost formulas as the analytical model (so the two models differ
-/// only in *composition*: pipelined overlap vs per-draw bottleneck max).
+/// Derives the service time of every stage for one draw from the same
+/// per-stage terms as the analytical model (so the two models differ only
+/// in *composition*: pipelined overlap vs per-draw bottleneck max).
 pub fn service_times(
     draw: &DrawCall,
     vs: &ShaderProgram,
@@ -59,16 +59,14 @@ pub fn service_times(
     warmth: f64,
 ) -> ServiceTimes {
     let period = config.core_period_ns();
-    let tex = analytic::texture_traffic(draw, ps, textures, config, warmth);
-    let shade_cycles = analytic::pixel_cycles(draw, ps, config).max(tex.sample_cycles);
-    let mem_bytes = analytic::dram_bytes(draw, vs, config, &tex);
+    let s = DrawWork::of(draw, vs, ps, textures, warmth).stages(config);
     [
         config.draw_setup_cycles * period,
-        analytic::geometry_cycles(draw, vs, config) * period,
-        analytic::raster_cycles(draw, config) * period,
-        shade_cycles * period,
-        analytic::rop_cycles(draw, config) * period,
-        mem_bytes / config.mem_bandwidth_bytes_per_ns(),
+        s.geometry * period,
+        s.raster * period,
+        s.pixel.max(s.texture) * period,
+        s.rop * period,
+        s.mem_bytes / config.mem_bandwidth_bytes_per_ns(),
     ]
 }
 

@@ -1,13 +1,20 @@
-//! Test-only fault injection for the memo layer (mutation testing).
+//! Test-only fault injection for the memo layer and the sweep traversal
+//! (mutation testing).
 //!
 //! Compiled only under the `fault-injection` cargo feature, and inert even
-//! then until [`arm`] is called. When armed, every draw cost served from a
-//! **batch-cache hit** ([`crate::CacheMode::On`]) has the last mantissa
-//! bit of its `time_ns` flipped — a one-ulp corruption, the smallest
-//! possible divergence. Freshly evaluated batches are never touched. The
-//! testkit's mutation tests arm the fault and assert that the differential
-//! oracle and a warm sweep session both surface it, demonstrating that a
-//! bitwise comparison would catch even a minimal memoization bug.
+//! then until armed. Two faults can be armed:
+//!
+//! * [`arm`]: every draw cost served from a **batch-cache hit**
+//!   ([`crate::CacheMode::On`]) has the last mantissa bit of its
+//!   `time_ns` flipped — a one-ulp corruption, the smallest possible
+//!   divergence. Freshly evaluated batches are never touched.
+//! * [`arm_misrouted_config`]: a multi-candidate sweep costs each shared
+//!   batch's draw work on the *next* candidate's configuration — the bug
+//!   of handing one candidate's batch to the wrong cost model.
+//!
+//! The testkit's mutation tests arm a fault and assert that the
+//! differential oracles surface it, demonstrating that a bitwise
+//! comparison would catch even a minimal memoization or routing bug.
 //!
 //! The switch is process-global; tests that arm it must disarm before
 //! finishing (each integration-test binary is its own process, so the
@@ -17,20 +24,39 @@ use crate::cost::DrawCost;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static ARMED: AtomicBool = AtomicBool::new(false);
+static MISROUTED: AtomicBool = AtomicBool::new(false);
 
 /// Starts corrupting batch-cache hits (one-ulp flip of `time_ns`).
 pub fn arm() {
     ARMED.store(true, Ordering::SeqCst);
 }
 
-/// Stops corrupting; subsequent hits are served verbatim again.
-pub fn disarm() {
-    ARMED.store(false, Ordering::SeqCst);
+/// Starts costing each candidate's batches, in a multi-candidate sweep,
+/// on the next candidate's configuration (the last wraps to the first).
+pub fn arm_misrouted_config() {
+    MISROUTED.store(true, Ordering::SeqCst);
 }
 
-/// Whether the fault is currently armed.
+/// Disarms both faults; hits are served verbatim and every candidate is
+/// costed on its own configuration again.
+pub fn disarm() {
+    ARMED.store(false, Ordering::SeqCst);
+    MISROUTED.store(false, Ordering::SeqCst);
+}
+
+/// Whether the batch-hit corruption is currently armed.
 pub fn armed() -> bool {
     ARMED.load(Ordering::SeqCst)
+}
+
+/// The candidate, of `candidates`, whose configuration costs candidate
+/// `c`'s batches: `c` itself unless [`arm_misrouted_config`] is armed.
+pub(crate) fn costing_candidate(c: usize, candidates: usize) -> usize {
+    if MISROUTED.load(Ordering::Relaxed) {
+        (c + 1) % candidates
+    } else {
+        c
+    }
 }
 
 /// Applies the armed fault to a cost served from a batch-cache hit.

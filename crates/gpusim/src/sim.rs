@@ -4,18 +4,26 @@
 //! Frames store draws column-major ([`subset3d_trace::DrawColumns`]);
 //! the simulator walks each frame in fixed-width batches of
 //! [`DEFAULT_BATCH_WIDTH`] draws. Per batch it streams the columns
-//! directly — shader resolution through a dense per-pass table, warmth
-//! from the texture pool, batch-key shape digests straight off the
-//! column words — and materialises an AoS [`DrawCall`] per draw only
-//! where `analyze_draw` (which is struct-at-a-time and shared with the
-//! reference model) actually runs. Batches are also the unit of
-//! parallel fan-out and of batch-grain memoization (see
-//! [`crate::memo`]). One traversal serves every whole-workload pass: it
-//! feeds each batch's costs into a per-frame sink, which collects them
-//! for [`Simulator::simulate_workload`] and keeps only a running total
-//! for [`crate::SweepSession`].
+//! directly — shader resolution through a dense per-pass table, texture
+//! footprints through another, warmth from the texture pool, batch-key
+//! shape digests straight off the column words — into each draw's
+//! configuration-independent [`DrawWork`], which is then costed on a
+//! configuration; no [`DrawCall`] is materialised. Batches are also the
+//! unit of parallel fan-out and of batch-grain memoization (see
+//! [`crate::memo`]).
+//!
+//! There are two traversals. The single-configuration one behind
+//! [`Simulator::simulate_workload`] and [`Simulator::simulate_frame`]
+//! collects every draw's cost. The multi-configuration one behind every
+//! design sweep ([`crate::SweepSession`], [`crate::sweep_configs`],
+//! [`crate::sweep_frequencies`]) is batch-major: each batch's draw work
+//! is computed once and costed per candidate, and only each candidate's
+//! running total is kept. Both serve each batch through one copy of the
+//! batch-cache protocol (`Simulator::serve_batch`) and perform the same
+//! floating-point operations per draw and per total, so a sweep's
+//! totals equal `simulate_workload` on each candidate bit for bit.
 
-use crate::analytic::analyze_draw;
+use crate::analytic::{analyze_draw, DrawWork, ShaderTerms, TextureTable};
 use crate::config::ArchConfig;
 use crate::cost::{DrawCost, FrameCost, WorkloadCost};
 use crate::error::SimError;
@@ -39,8 +47,10 @@ pub const DEFAULT_BATCH_WIDTH: usize = 64;
 
 /// Analytical GPU performance simulator.
 ///
-/// Simulation is deterministic and O(1) per draw; a full 828K-draw corpus
-/// simulates in well under a second in release builds.
+/// Simulation is deterministic and O(1) per draw; on one thread of a
+/// 2-vCPU Xeon VM, `simulate_workload` over the full 832,779-draw
+/// standard corpus takes ~175 ms in a release build (median of five
+/// passes, two rounds).
 ///
 /// In [`CacheMode::On`] whole batch costs are retained by content, so
 /// re-simulating a workload (sweep sessions, validation flows) is served
@@ -238,7 +248,7 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
             CacheMode::On => Some(pass.frame_keys(frame)?),
             CacheMode::Off => None,
         };
-        self.run_frame::<Vec<DrawCost>>(frame, &pass, keys.as_deref())
+        self.run_frame(frame, &pass, keys.as_deref())
     }
 
     /// The batch keys a whole-workload pass probes the batch cache with:
@@ -260,44 +270,24 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
         }
     }
 
-    /// Simulated total time of a whole pass, in nanoseconds: each frame's
-    /// draw times streamed into a [`KahanSum`] as their batches complete,
-    /// then [`subset3d_stats::sum_iter`] over the frame totals. Those are
-    /// the operations [`FrameCost::from_draws`] and
-    /// [`WorkloadCost::from_frames`] perform, in the same order, so the
-    /// result equals `simulate_workload(..)?.total_ns` bit for bit without
-    /// materialising a single [`DrawCost`].
-    pub(crate) fn total_ns(
-        &self,
-        pass: &Pass<'_>,
-        keys: Option<&[Vec<BatchKey>]>,
-    ) -> Result<f64, SimError>
-    where
-        C: Sync,
-    {
-        Ok(subset3d_stats::sum_iter(
-            self.run_pass::<KahanSum>(pass, keys)?,
-        ))
-    }
-
-    /// The batch traversal behind every whole-workload pass: walks every
-    /// frame of `pass` in fixed-width batches and feeds each batch's costs
-    /// into a per-frame sink `S`, in draw order. `keys` (from
-    /// [`Simulator::pass_keys`]) are the batches' digests, frame by frame.
+    /// The batch traversal behind [`Simulator::simulate_workload`]: walks
+    /// every frame of `pass` in fixed-width batches and collects each
+    /// frame's costs in draw order. `keys` (from [`Simulator::pass_keys`])
+    /// are the batches' digests, frame by frame.
     ///
     /// Frames are independent (cache warmth is tracked within a frame)
     /// and batches within a frame are independent too (warmth looks
     /// backwards into the columns, not at other batches' outputs), so
     /// large workloads flatten into one task list of fixed-width batches
     /// and fan out over the shared [`subset3d_exec`] pool in chunks, all
-    /// workers sharing one batch cache; each task's costs are then fed to
-    /// its frame's sink in task order, which is bit-identical to a
+    /// workers sharing one batch cache; each task's costs are then
+    /// appended to its frame in task order, which is bit-identical to a
     /// sequential pass at any thread count.
-    fn run_pass<S: FrameSink>(
+    fn run_pass(
         &self,
         pass: &Pass<'_>,
         keys: Option<&[Vec<BatchKey>]>,
-    ) -> Result<Vec<S::Frame>, SimError>
+    ) -> Result<Vec<FrameCost>, SimError>
     where
         C: Sync,
     {
@@ -307,7 +297,7 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
             return frames
                 .iter()
                 .enumerate()
-                .map(|(f, frame)| self.run_frame::<S>(frame, pass, keys.map(|k| &k[f][..])))
+                .map(|(f, frame)| self.run_frame(frame, pass, keys.map(|k| &k[f][..])))
                 .collect();
         }
         let mut tasks: Vec<(usize, usize, usize, usize)> = Vec::new();
@@ -322,62 +312,72 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
         let chunk = (tasks.len() / (subset3d_exec::thread_count() * 4)).clamp(1, 8);
         let results = subset3d_exec::par_map_chunked(&tasks, chunk, |_, &(f, b, start, end)| {
             let mut costs = Vec::with_capacity(end - start);
-            self.simulate_batch(
-                frames[f].columns(),
-                pass,
-                start,
-                end,
+            self.serve_batch(
+                self.config(),
                 keys.map(|k| &k[f][b]),
+                &mut BatchScratch::default(),
+                |work| pass.fill_work(frames[f].columns(), start, end, work),
                 |c| costs.extend_from_slice(c),
             )?;
             Ok(costs)
         });
-        // Tasks were generated in draw order, so feeding results in task
-        // order reassembles every frame exactly as the sequential path
-        // would.
-        let mut sinks: Vec<S> = frames.iter().map(|f| S::start(f.draw_count())).collect();
+        // Tasks were generated in draw order, so appending results in
+        // task order reassembles every frame exactly as the sequential
+        // path would.
+        let mut draws: Vec<Vec<DrawCost>> = frames
+            .iter()
+            .map(|f| Vec::with_capacity(f.draw_count()))
+            .collect();
         for (&(f, ..), result) in tasks.iter().zip(results) {
-            sinks[f].batch(&result?);
+            draws[f].extend_from_slice(&result?);
         }
-        Ok(sinks.into_iter().map(S::finish).collect())
+        Ok(draws.into_iter().map(FrameCost::from_draws).collect())
     }
 
     /// One frame of [`Simulator::run_pass`], batch by batch, on the
     /// calling thread.
-    fn run_frame<S: FrameSink>(
+    fn run_frame(
         &self,
         frame: &Frame,
         pass: &Pass<'_>,
         keys: Option<&[BatchKey]>,
-    ) -> Result<S::Frame, SimError> {
+    ) -> Result<FrameCost, SimError> {
         let cols = frame.columns();
-        let mut sink = S::start(cols.len());
+        let mut draws = Vec::with_capacity(cols.len());
+        let mut scratch = BatchScratch::default();
         for (b, (start, end)) in pass.batches(cols.len()).enumerate() {
-            self.simulate_batch(cols, pass, start, end, keys.map(|k| &k[b]), |c| {
-                sink.batch(c)
-            })?;
+            scratch.work.clear();
+            self.serve_batch(
+                self.config(),
+                keys.map(|k| &k[b]),
+                &mut scratch,
+                |work| pass.fill_work(cols, start, end, work),
+                |c| draws.extend_from_slice(c),
+            )?;
         }
-        Ok(sink.finish())
+        Ok(FrameCost::from_draws(draws))
     }
 
-    /// Simulates the draws `start..end` of one frame's columns — the
-    /// fixed-width batch at the heart of the hot path — and hands their
-    /// costs to `sink`, in draw order.
+    /// Hands one batch's costs on `config` to `sink`, in draw order: the
+    /// batch-cache protocol of both traversals, the single-configuration
+    /// [`Simulator::run_pass`] and the batch-major [`evaluate`].
     ///
-    /// With a `key` (the batch's digest; [`CacheMode::On`] only) the
-    /// batch cache is probed once, and a hit lends the retained slice to
-    /// `sink` without any per-draw work or copy. Otherwise the batch's
-    /// shaders are resolved (a dangling reference is an error whether or
-    /// not the cache could have served the content), warmth is computed,
-    /// and every draw runs `analyze_draw` on a materialised
-    /// [`DrawCall`]. A computed batch is retained under its `key`.
-    fn simulate_batch(
+    /// With a `key` (the batch's digest; [`CacheMode::On`] only) this
+    /// simulator's batch cache is probed once, and a hit lends the
+    /// retained slice to `sink` without any per-draw work or copy.
+    /// Otherwise the batch's [`DrawWork`]s are taken from
+    /// `scratch.work` — filled by `fill` unless it already holds them,
+    /// as it does when an earlier candidate of a sweep missed the same
+    /// batch (so callers clear it between batches) — costed on `config`,
+    /// retained under `key` and handed to `sink`. A dangling shader
+    /// reference is an error from `fill` whether or not the cache could
+    /// have served the content.
+    fn serve_batch(
         &self,
-        cols: &DrawColumns,
-        pass: &Pass<'_>,
-        start: usize,
-        end: usize,
+        config: &ArchConfig,
         key: Option<&BatchKey>,
+        scratch: &mut BatchScratch,
+        fill: impl FnOnce(&mut Vec<DrawWork>) -> Result<(), SimError>,
         mut sink: impl FnMut(&[DrawCost]),
     ) -> Result<(), SimError> {
         if let Some(key) = key {
@@ -385,27 +385,19 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
                 return Ok(());
             }
         }
-        let resolved = (start..end)
-            .map(|i| pass.resolve(cols, i))
-            .collect::<Result<Vec<_>, _>>()?;
-        let textures = pass.workload.textures();
-        let costs: Vec<DrawCost> = (start..end)
-            .zip(resolved)
-            .map(|(i, (vs, ps))| {
-                analyze_draw(
-                    &cols.get(i).expect("batch index in range"),
-                    vs.program,
-                    ps.program,
-                    textures,
-                    self.config.borrow(),
-                    warmth_at(cols, i),
-                )
-            })
-            .collect();
-        if let Some(key) = key {
-            self.batches.insert(*key, &costs);
+        // Batches are never empty, so empty work means "not yet computed
+        // for this batch".
+        if scratch.work.is_empty() {
+            fill(&mut scratch.work)?;
         }
-        sink(&costs);
+        scratch.costs.clear();
+        scratch
+            .costs
+            .extend(scratch.work.iter().map(|w| w.cost(config)));
+        if let Some(key) = key {
+            self.batches.insert(*key, &scratch.costs);
+        }
+        sink(&scratch.costs);
         Ok(())
     }
 
@@ -431,71 +423,116 @@ impl<C: Borrow<ArchConfig>> Simulator<C> {
         let pass = Pass::new(workload, self.batch_width());
         let keys = self.pass_keys(&pass)?;
         Ok(WorkloadCost::from_frames(
-            self.run_pass::<Vec<DrawCost>>(&pass, keys.as_deref())?,
+            self.run_pass(&pass, keys.as_deref())?,
         ))
     }
 }
 
-/// Where [`Simulator::run_pass`] puts one frame's batch costs, fed in
-/// draw order.
-trait FrameSink {
-    /// What the sink yields per frame.
-    type Frame;
-    /// An empty sink for a frame of `draws` draws.
-    fn start(draws: usize) -> Self;
-    /// Takes the next batch's costs.
-    fn batch(&mut self, costs: &[DrawCost]);
-    /// The frame's result.
-    fn finish(self) -> Self::Frame;
+/// Simulated total time, in nanoseconds, of one pass on every simulator
+/// of `sims` — the multi-configuration traversal behind every design
+/// sweep — in `sims` order.
+///
+/// The traversal is batch-major: frames fan out over the shared
+/// [`subset3d_exec`] pool, and within a frame each fixed-width batch is
+/// taken once for all candidates. With `keys` (the batches' digests, one
+/// list per frame, from [`Simulator::pass_keys`]) each candidate's batch
+/// cache is probed with the shared key and a hit streams the retained
+/// draw times into that candidate's frame total. On the batch's first
+/// miss (or always, without keys) its [`DrawWork`]s are read off the
+/// columns once, into a buffer reused across the frame's batches; every
+/// candidate that missed then costs them on its own configuration,
+/// retains the costs under the key, and streams the draw times into its
+/// frame total.
+///
+/// Each frame total is a [`KahanSum`] fed in draw order and each
+/// candidate's total is [`subset3d_stats::sum_iter`] over its frame
+/// totals in frame order — the operations of [`FrameCost::from_draws`]
+/// and [`WorkloadCost::from_frames`], in the same order — so every total
+/// equals `simulate_workload(..)?.total_ns` on that candidate bit for
+/// bit, at any thread count.
+///
+/// # Errors
+///
+/// Returns [`SimError::UnknownShader`] for the first dangling shader
+/// reference in draw order.
+pub(crate) fn evaluate<C: Borrow<ArchConfig> + Sync>(
+    sims: &[Simulator<C>],
+    pass: &Pass<'_>,
+    keys: Option<&[Vec<BatchKey>]>,
+) -> Result<Vec<f64>, SimError> {
+    let frames = pass.workload.frames();
+    let _t = subset3d_obs::trace_span_args(
+        "gpusim",
+        "sweep.evaluate",
+        ("candidates", sims.len() as u64),
+        ("frames", frames.len() as u64),
+    );
+    let frame_totals = subset3d_exec::par_map_indexed(frames, |f, frame| {
+        evaluate_frame(sims, pass, frame.columns(), keys.map(|k| &k[f][..]))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
+    Ok((0..sims.len())
+        .map(|c| subset3d_stats::sum_iter(frame_totals.iter().map(|totals| totals[c])))
+        .collect())
 }
 
-/// Collects every draw cost: the [`FrameCost`]s of `simulate_workload`
-/// and `simulate_frame`. A batch-cache hit extends straight from the
-/// retained slice.
-impl FrameSink for Vec<DrawCost> {
-    type Frame = FrameCost;
-
-    fn start(draws: usize) -> Self {
-        Vec::with_capacity(draws)
-    }
-
-    fn batch(&mut self, costs: &[DrawCost]) {
-        self.extend_from_slice(costs);
-    }
-
-    fn finish(self) -> FrameCost {
-        FrameCost::from_draws(self)
-    }
-}
-
-/// Keeps only the frame's total time: the sweep's sink. The running sum
-/// performs [`FrameCost::from_draws`]'s summation, so the total is the
-/// same bits.
-impl FrameSink for KahanSum {
-    type Frame = f64;
-
-    fn start(_draws: usize) -> Self {
-        KahanSum::default()
-    }
-
-    fn batch(&mut self, costs: &[DrawCost]) {
-        for c in costs {
-            self.add(c.time_ns);
+/// One frame of [`evaluate`]: every candidate's frame total, batch-major.
+fn evaluate_frame<C: Borrow<ArchConfig>>(
+    sims: &[Simulator<C>],
+    pass: &Pass<'_>,
+    cols: &DrawColumns,
+    keys: Option<&[BatchKey]>,
+) -> Result<Vec<f64>, SimError> {
+    let mut sums = vec![KahanSum::default(); sims.len()];
+    let mut scratch = BatchScratch::default();
+    for (b, (start, end)) in pass.batches(cols.len()).enumerate() {
+        let key = keys.map(|k| &k[b]);
+        scratch.work.clear();
+        for (c, (sim, sum)) in sims.iter().zip(&mut sums).enumerate() {
+            sim.serve_batch(
+                costing_config(sims, c),
+                key,
+                &mut scratch,
+                |work| pass.fill_work(cols, start, end, work),
+                |costs| {
+                    for cost in costs {
+                        sum.add(cost.time_ns);
+                    }
+                },
+            )?;
         }
     }
+    Ok(sums.iter().map(KahanSum::total).collect())
+}
 
-    fn finish(self) -> f64 {
-        self.total()
-    }
+/// The configuration candidate `c` of [`evaluate`] costs its batches on:
+/// its own, or its neighbour's while the `fault-injection` hook
+/// `fault::arm_misrouted_config` is armed.
+#[inline]
+fn costing_config<C: Borrow<ArchConfig>>(sims: &[Simulator<C>], c: usize) -> &ArchConfig {
+    #[cfg(feature = "fault-injection")]
+    let c = crate::fault::costing_candidate(c, sims.len());
+    sims[c].config()
+}
+
+/// The buffers of [`Simulator::serve_batch`], reused across a frame's
+/// batches: the current batch's [`DrawWork`]s (empty until a candidate
+/// misses it) and the costs of the candidate being served.
+#[derive(Default)]
+struct BatchScratch {
+    work: Vec<DrawWork>,
+    costs: Vec<DrawCost>,
 }
 
 /// What one simulation pass over a workload shares between its batches —
-/// and, in a sweep, between its candidates: the dense shader table, the
-/// registry fingerprint, and the batch width that cuts frames into
-/// batches. None of it depends on the architecture configuration.
+/// and, in a sweep, between its candidates: the dense shader and texture
+/// tables, the registry fingerprint, and the batch width that cuts frames
+/// into batches. None of it depends on the architecture configuration.
 pub(crate) struct Pass<'w> {
     workload: &'w Workload,
-    ctx: ShaderCtx<'w>,
+    ctx: ShaderCtx,
+    textures: TextureTable,
     registry: RegistryFingerprint,
     width: usize,
 }
@@ -506,6 +543,7 @@ impl<'w> Pass<'w> {
         Pass {
             workload,
             ctx: ShaderCtx::build(workload),
+            textures: TextureTable::build(workload.textures()),
             registry: RegistryFingerprint::of(workload.textures()),
             width: width.max(1),
         }
@@ -524,12 +562,36 @@ impl<'w> Pass<'w> {
         &self,
         cols: &DrawColumns,
         index: usize,
-    ) -> Result<(&ResolvedShader<'w>, &ResolvedShader<'w>), SimError> {
+    ) -> Result<(&ResolvedShader, &ResolvedShader), SimError> {
         let id = cols.ids()[index];
         Ok((
             self.ctx.resolve(id, cols.vertex_shaders()[index])?,
             self.ctx.resolve(id, cols.pixel_shaders()[index])?,
         ))
+    }
+
+    /// Appends the configuration-independent [`DrawWork`] of the draws
+    /// `start..end`, each in its frame's warmth context, to `work`.
+    fn fill_work(
+        &self,
+        cols: &DrawColumns,
+        start: usize,
+        end: usize,
+        work: &mut Vec<DrawWork>,
+    ) -> Result<(), SimError> {
+        work.reserve(end - start);
+        for index in start..end {
+            let (vs, ps) = self.resolve(cols, index)?;
+            work.push(DrawWork::at(
+                cols,
+                index,
+                vs.terms,
+                ps.terms,
+                &self.textures,
+                warmth_at(cols, index),
+            ));
+        }
+        Ok(())
     }
 
     /// The [`BatchKey`] of every batch of `frame`, in order: shader
@@ -587,21 +649,21 @@ impl<C: Borrow<ArchConfig>> std::fmt::Debug for Simulator<C> {
     }
 }
 
-/// A resolved shader: the program (for `analyze_draw`) plus its packed
-/// key words (for shape digests), computed once per pass.
-struct ResolvedShader<'w> {
-    program: &'w ShaderProgram,
+/// A resolved shader: its cost-model terms (for [`DrawWork`]) plus its
+/// packed key words (for shape digests), computed once per pass.
+struct ResolvedShader {
+    terms: ShaderTerms,
     pack: [u64; 5],
 }
 
 /// Dense per-pass shader table indexed by raw [`ShaderId`], replacing a
 /// `BTreeMap` walk per draw with one bounds-checked load per lookup.
-struct ShaderCtx<'w> {
-    programs: Vec<Option<ResolvedShader<'w>>>,
+struct ShaderCtx {
+    programs: Vec<Option<ResolvedShader>>,
 }
 
-impl<'w> ShaderCtx<'w> {
-    fn build(workload: &'w Workload) -> Self {
+impl ShaderCtx {
+    fn build(workload: &Workload) -> Self {
         // Library iteration is id-ordered, so the last program bounds
         // the table size. Generator ids are dense; a sparse library
         // merely leaves `None` holes.
@@ -611,18 +673,18 @@ impl<'w> ShaderCtx<'w> {
             .last()
             .map(|p| p.id.raw() as usize + 1)
             .unwrap_or(0);
-        let mut programs: Vec<Option<ResolvedShader<'w>>> = Vec::with_capacity(size);
+        let mut programs: Vec<Option<ResolvedShader>> = Vec::with_capacity(size);
         programs.resize_with(size, || None);
         for program in workload.shaders().iter() {
             programs[program.id.raw() as usize] = Some(ResolvedShader {
-                program,
+                terms: ShaderTerms::of(program),
                 pack: shader_pack(program),
             });
         }
         ShaderCtx { programs }
     }
 
-    fn resolve(&self, draw: DrawId, shader: ShaderId) -> Result<&ResolvedShader<'w>, SimError> {
+    fn resolve(&self, draw: DrawId, shader: ShaderId) -> Result<&ResolvedShader, SimError> {
         match self.programs.get(shader.raw() as usize) {
             Some(Some(resolved)) => Ok(resolved),
             _ => Err(SimError::UnknownShader { draw, shader }),
@@ -843,27 +905,69 @@ mod tests {
     }
 
     #[test]
-    fn streamed_totals_match_collected_totals() {
-        // The summing sink must reproduce `WorkloadCost::total_ns` bit for
-        // bit, cold and warm, in every mode and at ragged widths.
+    fn batch_major_totals_match_collected_totals() {
+        // The batch-major traversal must reproduce every candidate's
+        // `WorkloadCost::total_ns` — and the reference model's — bit for
+        // bit, cold and warm, in both modes, draw at a time (width 1),
+        // with full batches ahead of a ragged tail (16) and at the
+        // default width (64), whose batches are ragged too.
         let w = workload();
+        for width in [16, 64] {
+            assert!(
+                w.frames().iter().any(|f| f.draw_count() % width != 0),
+                "width {width} must leave a ragged tail"
+            );
+        }
+        assert!(w.frames().iter().any(|f| f.draw_count() > 16));
+        let configs = [
+            ArchConfig::small(),
+            ArchConfig::baseline(),
+            ArchConfig::large(),
+        ];
         for width in [1, 16, 64] {
             for mode in [CacheMode::On, CacheMode::Off] {
-                let sim = Simulator::new(ArchConfig::baseline());
-                sim.set_batch_width(width);
-                sim.set_cache_mode(mode);
+                let sims: Vec<Simulator<&ArchConfig>> =
+                    configs.iter().map(Simulator::from_ref).collect();
+                for sim in &sims {
+                    sim.set_batch_width(width);
+                    sim.set_cache_mode(mode);
+                }
                 let pass = Pass::new(&w, width);
-                let keys = sim.pass_keys(&pass).unwrap();
+                let keys = sims[0].pass_keys(&pass).unwrap();
                 assert_eq!(keys.is_some(), mode == CacheMode::On);
-                let streamed = sim.total_ns(&pass, keys.as_deref()).unwrap();
-                let collected = sim.simulate_workload(&w).unwrap().total_ns;
-                let again = sim.total_ns(&pass, keys.as_deref()).unwrap();
-                for got in [streamed, again] {
-                    assert_eq!(
-                        got.to_bits(),
-                        collected.to_bits(),
-                        "width {width}, mode {mode:?}"
-                    );
+                let streamed = evaluate(&sims, &pass, keys.as_deref()).unwrap();
+                let again = evaluate(&sims, &pass, keys.as_deref()).unwrap();
+                for (c, config) in configs.iter().enumerate() {
+                    let collected = Simulator::new(config.clone())
+                        .simulate_workload(&w)
+                        .unwrap()
+                        .total_ns;
+                    let reference = crate::reference::reference_workload_cost(&w, config)
+                        .unwrap()
+                        .total_ns;
+                    assert_eq!(collected.to_bits(), reference.to_bits(), "{}", config.name);
+                    for got in [streamed[c], again[c]] {
+                        assert_eq!(
+                            got.to_bits(),
+                            reference.to_bits(),
+                            "{}, width {width}, mode {mode:?}",
+                            config.name
+                        );
+                    }
+                }
+                // Every candidate probes each batch once per traversal; the
+                // second traversal hits every one (narrow batches can also
+                // repeat within the first).
+                let batches = batch_count(&w, width);
+                for sim in &sims {
+                    let stats = sim.cache_stats();
+                    match mode {
+                        CacheMode::On => {
+                            assert_eq!(stats.batch_hits + stats.batch_misses, 2 * batches);
+                            assert!(stats.batch_hits >= batches);
+                        }
+                        CacheMode::Off => assert_eq!(stats, CacheStats::default()),
+                    }
                 }
             }
         }

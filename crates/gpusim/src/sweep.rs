@@ -4,7 +4,7 @@ use crate::config::ArchConfig;
 use crate::error::SimError;
 use crate::freq::FrequencySweep;
 use crate::memo::{CacheMode, CacheStats};
-use crate::sim::{Pass, Simulator};
+use crate::sim::{evaluate, Pass, Simulator, DEFAULT_BATCH_WIDTH};
 use serde::{Deserialize, Serialize};
 use subset3d_obs::LazyHistogram;
 use subset3d_trace::Workload;
@@ -33,13 +33,18 @@ pub struct ConfigPoint {
 
 /// Simulates `workload` at every core clock of `sweep` on the `base` design.
 ///
-/// Points are simulated concurrently on the shared [`subset3d_exec`] pool;
-/// the result order and every value are identical at any thread count.
+/// All points share one batch-major traversal (see [`SweepSession`]):
+/// each draw's configuration-independent work is computed once and
+/// costed per clock, frames fanned out over the shared [`subset3d_exec`]
+/// pool. The result order and every value are identical at any thread
+/// count, and each total equals a fresh [`Simulator`]'s
+/// `simulate_workload` at that clock bit for bit.
 ///
 /// # Errors
 ///
 /// Returns [`SimError::UnknownShader`] when the workload references shaders
-/// missing from its own library.
+/// missing from its own library, and [`SimError::InvalidConfig`] for an
+/// invalid `base` design.
 ///
 /// # Examples
 ///
@@ -60,21 +65,21 @@ pub fn sweep_frequencies(
     sweep: &FrequencySweep,
 ) -> Result<Vec<SweepPoint>, SimError> {
     let configs = sweep.configs(base);
-    subset3d_exec::par_map_indexed(&configs, |i, config| {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::from_ref(config);
-        Ok(SweepPoint {
+    Ok(configs
+        .iter()
+        .zip(one_shot_totals(workload, &configs)?)
+        .map(|(config, total_ns)| SweepPoint {
             core_clock_mhz: config.core_clock_mhz,
-            total_ns: sim.simulate_workload(workload)?.total_ns,
+            total_ns,
         })
-    })
-    .into_iter()
-    .collect()
+        .collect())
 }
 
-/// Simulates `workload` on every candidate design point, concurrently on
-/// the shared [`subset3d_exec`] pool; the result order and every value are
-/// identical at any thread count.
+/// Simulates `workload` on every candidate design point in one
+/// batch-major traversal (see [`SweepSession`]), frames fanned out over
+/// the shared [`subset3d_exec`] pool; the result order and every value
+/// are identical at any thread count, and each total equals a fresh
+/// [`Simulator`]'s `simulate_workload` on that candidate bit for bit.
 ///
 /// # Errors
 ///
@@ -85,6 +90,19 @@ pub fn sweep_configs(
     workload: &Workload,
     candidates: &[ArchConfig],
 ) -> Result<Vec<ConfigPoint>, SimError> {
+    Ok(candidates
+        .iter()
+        .zip(one_shot_totals(workload, candidates)?)
+        .map(|(config, total_ns)| ConfigPoint {
+            name: config.name.clone(),
+            total_ns,
+        })
+        .collect())
+}
+
+/// Every candidate's total time on `workload`: one uncached batch-major
+/// traversal at the default batch width.
+fn one_shot_totals(workload: &Workload, candidates: &[ArchConfig]) -> Result<Vec<f64>, SimError> {
     // Validate up front so an invalid candidate is reported before any
     // simulation work is spent (and `from_ref` below cannot panic).
     if let Some(config) = candidates.iter().find(|c| !c.is_valid()) {
@@ -92,16 +110,8 @@ pub fn sweep_configs(
             name: config.name.clone(),
         });
     }
-    subset3d_exec::par_map_indexed(candidates, |i, config| {
-        let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-        let sim = Simulator::from_ref(config);
-        Ok(ConfigPoint {
-            name: config.name.clone(),
-            total_ns: sim.simulate_workload(workload)?.total_ns,
-        })
-    })
-    .into_iter()
-    .collect()
+    let sims: Vec<Simulator<&ArchConfig>> = candidates.iter().map(Simulator::from_ref).collect();
+    evaluate(&sims, &Pass::new(workload, DEFAULT_BATCH_WIDTH), None)
 }
 
 /// A reusable design-space sweep: one persistent [`Simulator`] per
@@ -119,18 +129,26 @@ pub fn sweep_configs(
 /// point of keeping a session, so batch costs are retained from the
 /// cold first pass onwards.
 ///
-/// A batch's key — shader resolution, warmth and the shape digest of
-/// every member — does not depend on the configuration, so each sweep
-/// digests the workload **once**, fanned out over frames, and hands the
-/// same keys to every candidate. A candidate then walks its batches: a
-/// hit streams the retained slice's draw times, in order, into the
-/// frame's [`subset3d_stats::KahanSum`]; a miss computes, retains, and
-/// streams the fresh costs the same way. No per-draw cost is copied and
-/// no [`crate::FrameCost`] is built. The candidate's total is
+/// Nothing about a draw but its cost depends on the candidate, so a
+/// sweep does every configuration-independent step once. A batch's key
+/// — shader resolution, warmth and the shape digest of every member —
+/// is digested once per sweep, fanned out over frames, and shared by
+/// every candidate. The candidates are then evaluated **batch-major**:
+/// frames fan out over the shared [`subset3d_exec`] pool, and each batch
+/// is visited once for all candidates. A candidate whose batch cache
+/// holds the key streams the retained draw times, in order, into its
+/// frame's [`subset3d_stats::KahanSum`]. On the batch's first miss the
+/// draws' configuration-independent work (footprints, surviving
+/// primitives, shaded pixels, traffic terms) is read off the columns
+/// once; every candidate that missed costs that work on its own
+/// configuration — a few dozen flops per draw — retains the costs and
+/// streams them the same way. No per-draw cost is copied and no
+/// [`crate::FrameCost`] is built. The candidate's total is
 /// [`subset3d_stats::sum_iter`] over its frame totals — the exact
 /// operations, in the exact order, of [`crate::FrameCost::from_draws`]
 /// and [`crate::WorkloadCost::from_frames`] — so every point equals
-/// [`sweep_configs`] bit for bit.
+/// [`sweep_configs`] bit for bit, in both cache modes and at any thread
+/// count.
 ///
 /// # Examples
 ///
@@ -181,8 +199,8 @@ impl SweepSession {
         }
     }
 
-    /// Simulates `workload` on every candidate, concurrently on the
-    /// shared [`subset3d_exec`] pool. Result order and every value are
+    /// Simulates `workload` on every candidate in one batch-major
+    /// traversal (see the type docs). Result order and every value are
     /// identical at any thread count.
     ///
     /// # Errors
@@ -190,11 +208,11 @@ impl SweepSession {
     /// Returns [`SimError::UnknownShader`] when the workload references
     /// shaders missing from its own library.
     pub fn sweep(&self, workload: &Workload) -> Result<Vec<ConfigPoint>, SimError> {
-        // Every candidate shares one cache mode and batch width.
+        // Every candidate shares one cache mode.
         let Some(first) = self.sims.first() else {
             return Ok(Vec::new());
         };
-        let pass = Pass::new(workload, first.batch_width());
+        let pass = Pass::new(workload, DEFAULT_BATCH_WIDTH);
         let timer = subset3d_obs::span(&OBS_SWEEP_DIGEST);
         let span = subset3d_obs::trace_span_arg(
             "gpusim",
@@ -205,15 +223,15 @@ impl SweepSession {
         let keys = first.pass_keys(&pass)?;
         span.end();
         timer.end();
-        subset3d_exec::par_map_indexed(&self.sims, |i, sim| {
-            let _t = subset3d_obs::trace_span_arg("gpusim", "sweep.candidate", "index", i as u64);
-            Ok(ConfigPoint {
+        Ok(self
+            .sims
+            .iter()
+            .zip(evaluate(&self.sims, &pass, keys.as_deref())?)
+            .map(|(sim, total_ns)| ConfigPoint {
                 name: sim.config().name.clone(),
-                total_ns: sim.total_ns(&pass, keys.as_deref())?,
+                total_ns,
             })
-        })
-        .into_iter()
-        .collect()
+            .collect())
     }
 
     /// Aggregated hit/miss counters across every candidate's caches.

@@ -24,12 +24,18 @@ fn us(ns: u64) -> Value {
     Value::Float(ns as f64 / 1e3)
 }
 
+/// The event's keyed arguments, absent ones (empty keys) skipped.
+fn arg_fields(ev: &TraceEvent) -> Vec<(&'static str, Value)> {
+    [(ev.arg_key, ev.arg_val), (ev.arg2_key, ev.arg2_val)]
+        .into_iter()
+        .filter(|(key, _)| !key.is_empty())
+        .map(|(key, val)| (key, Value::UInt(val)))
+        .collect()
+}
+
 fn args_of(ev: &TraceEvent) -> Option<Value> {
-    if ev.arg_key.is_empty() {
-        None
-    } else {
-        Some(obj(vec![(ev.arg_key, Value::UInt(ev.arg_val))]))
-    }
+    let args = arg_fields(ev);
+    (!args.is_empty()).then(|| obj(args))
 }
 
 fn event_value(ev: &TraceEvent) -> Value {
@@ -126,9 +132,7 @@ pub fn export_jsonl(events: &[TraceEvent]) -> String {
         if matches!(ev.phase, TracePhase::FlowStart | TracePhase::FlowEnd) {
             fields.push(("id", Value::UInt(ev.flow_id)));
         }
-        if !ev.arg_key.is_empty() {
-            fields.push((ev.arg_key, Value::UInt(ev.arg_val)));
-        }
+        fields.extend(arg_fields(ev));
         out.push_str(&serde_json::to_string(&obj(fields)).expect("event serialises"));
         out.push('\n');
     }
@@ -308,6 +312,8 @@ mod tests {
             flow_id,
             arg_key: "",
             arg_val: 0,
+            arg2_key: "",
+            arg2_val: 0,
         }
     }
 
@@ -341,6 +347,8 @@ mod tests {
         let mut events = sample_events();
         events[0].arg_key = "frames";
         events[0].arg_val = 120;
+        events[0].arg2_key = "candidates";
+        events[0].arg2_val = 6;
         let json = export_chrome(&events, &sample_threads());
         let root = serde_json::parse_value(&json).unwrap();
         let items = match field(&root, "traceEvents").unwrap() {
@@ -362,6 +370,10 @@ mod tests {
             .unwrap();
         let args = field(outer, "args").expect("outer has args");
         assert_eq!(field(args, "frames").and_then(num), Some(120.0));
+        assert_eq!(field(args, "candidates").and_then(num), Some(6.0));
+        let line = export_jsonl(&events[..1]);
+        let first = serde_json::parse_value(line.trim_end()).unwrap();
+        assert_eq!(field(&first, "candidates").and_then(num), Some(6.0));
     }
 
     #[test]

@@ -84,8 +84,8 @@ pub use timeseries::{
 pub use trace::{
     events_dropped, events_recorded, install_panic_dump, recent_events, self_time, start_tracing,
     stop_tracing, thread_names, trace_allocs, trace_enabled, trace_flow_end, trace_flow_start,
-    trace_instant, trace_instant_arg, trace_span, trace_span_arg, SelfTime, TraceEvent, TraceMode,
-    TracePhase, TraceSpan, FLIGHT_CAPACITY,
+    trace_instant, trace_instant_arg, trace_span, trace_span_arg, trace_span_args, SelfTime,
+    TraceEvent, TraceMode, TracePhase, TraceSpan, FLIGHT_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -77,6 +77,10 @@ pub struct TraceEvent {
     pub arg_key: &'static str,
     /// Value of the optional argument.
     pub arg_val: u64,
+    /// Name of the optional second argument (`""` when absent).
+    pub arg2_key: &'static str,
+    /// Value of the optional second argument.
+    pub arg2_val: u64,
 }
 
 /// Retention policy of an active trace.
@@ -345,6 +349,7 @@ struct SpanInner {
     name: &'static str,
     arg_key: &'static str,
     arg_val: u64,
+    arg2: (&'static str, u64),
     start_ns: u64,
 }
 
@@ -377,6 +382,8 @@ impl Drop for TraceSpan {
                     flow_id: 0,
                     arg_key: inner.arg_key,
                     arg_val: inner.arg_val,
+                    arg2_key: inner.arg2.0,
+                    arg2_val: inner.arg2.1,
                 });
             }
         }
@@ -397,12 +404,24 @@ pub fn trace_span_arg(
     arg_key: &'static str,
     arg_val: u64,
 ) -> TraceSpan {
+    trace_span_args(cat, name, (arg_key, arg_val), ("", 0))
+}
+
+/// Starts a span carrying two keyed arguments.
+#[inline]
+pub fn trace_span_args(
+    cat: &'static str,
+    name: &'static str,
+    (arg_key, arg_val): (&'static str, u64),
+    arg2: (&'static str, u64),
+) -> TraceSpan {
     TraceSpan {
         inner: trace_enabled().then(|| SpanInner {
             cat,
             name,
             arg_key,
             arg_val,
+            arg2,
             start_ns: now_ns(),
         }),
     }
@@ -435,6 +454,8 @@ fn point_arg(
         flow_id,
         arg_key,
         arg_val,
+        arg2_key: "",
+        arg2_val: 0,
     });
 }
 
@@ -706,6 +727,8 @@ mod tests {
             flow_id: 0,
             arg_key: "",
             arg_val: 0,
+            arg2_key: "",
+            arg2_val: 0,
         };
         // parent [0,100) with children [10,30) and [40,90); grandchild
         // [50,60) belongs to the second child, not the parent.

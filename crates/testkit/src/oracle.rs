@@ -10,11 +10,17 @@
 //! computed — exactly the bug class under test.
 //!
 //! Energy, the frequency-scaling improvement series and the per-frame
-//! prediction-error computation are covered by the same treatment.
+//! prediction-error computation are covered by the same treatment, and
+//! [`run_sweep_oracle`] holds every multi-configuration path — sweep
+//! sessions cold and warm, uncached sessions, [`sweep_configs`] and
+//! [`sweep_frequencies`] — to the reference, candidate by candidate.
 
 use subset3d_core::{cluster_frame, predict_frame, FramePrediction, SubsetConfig};
 use subset3d_gpusim::reference;
-use subset3d_gpusim::{ArchConfig, CacheMode, PowerModel, SimError, Simulator, WorkloadCost};
+use subset3d_gpusim::{
+    sweep_configs, sweep_frequencies, ArchConfig, CacheMode, ConfigPoint, FrequencySweep,
+    PowerModel, SimError, Simulator, SweepSession, WorkloadCost,
+};
 use subset3d_trace::Workload;
 
 /// Core clocks (MHz) swept by the oracle's improvement-series check.
@@ -417,6 +423,83 @@ pub fn run_oracle_batch_widths(
     Ok(OracleReport {
         divergences,
         draws_compared,
+    })
+}
+
+/// Holds every multi-configuration path to the reference model, per
+/// candidate and bitwise: a [`SweepSession`] (cold and warm in
+/// [`CacheMode::On`], then uncached in [`CacheMode::Off`]),
+/// [`sweep_configs`] over `candidates`, and [`sweep_frequencies`] over
+/// [`ORACLE_SWEEP_MHZ`] on the first candidate. Every total must equal
+/// [`reference::reference_workload_cost`] on that candidate's
+/// configuration bit for bit — the check that catches a shared batch
+/// costed on the wrong candidate, a stale or misrouted cache entry, or
+/// a reordered reduction.
+///
+/// `draws_compared` counts the draws behind every compared total.
+///
+/// # Errors
+///
+/// Propagates [`SimError`] from either path.
+pub fn run_sweep_oracle(
+    label: &str,
+    workload: &Workload,
+    candidates: &[ArchConfig],
+) -> Result<OracleReport, SimError> {
+    let context = format!("{label}/{}t", subset3d_exec::thread_count());
+    let reference = candidates
+        .iter()
+        .map(|config| Ok(reference::reference_workload_cost(workload, config)?.total_ns))
+        .collect::<Result<Vec<f64>, SimError>>()?;
+    let mut cmp = Comparator::new(&context);
+    let mut totals = 0;
+    let mut check = |cmp: &mut Comparator, run: &str, points: &[ConfigPoint]| {
+        cmp.other(
+            run,
+            "point count",
+            candidates.len().to_string(),
+            points.len().to_string(),
+        );
+        for ((config, &expected), point) in candidates.iter().zip(&reference).zip(points) {
+            let location = format!("{run}, candidate {}", config.name);
+            cmp.other(&location, "name", config.name.clone(), point.name.clone());
+            cmp.float(&location, "total_ns", expected, point.total_ns);
+            totals += 1;
+        }
+    };
+
+    let session = SweepSession::new(candidates)?;
+    check(&mut cmp, "session On cold", &session.sweep(workload)?);
+    check(&mut cmp, "session On warm", &session.sweep(workload)?);
+    session.set_cache_mode(CacheMode::Off);
+    check(&mut cmp, "session Off", &session.sweep(workload)?);
+    check(
+        &mut cmp,
+        "sweep_configs",
+        &sweep_configs(workload, candidates)?,
+    );
+
+    if let Some(base) = candidates.first() {
+        let sweep = FrequencySweep::new(ORACLE_SWEEP_MHZ.to_vec());
+        let points = sweep_frequencies(workload, base, &sweep)?;
+        cmp.other(
+            "sweep_frequencies",
+            "point count",
+            ORACLE_SWEEP_MHZ.len().to_string(),
+            points.len().to_string(),
+        );
+        for (&mhz, point) in ORACLE_SWEEP_MHZ.iter().zip(&points) {
+            let location = format!("sweep_frequencies, {mhz} MHz");
+            cmp.float(&location, "core_clock_mhz", mhz, point.core_clock_mhz);
+            let config = base.with_core_clock(mhz);
+            let reference = reference::reference_workload_cost(workload, &config)?.total_ns;
+            cmp.float(&location, "total_ns", reference, point.total_ns);
+            totals += 1;
+        }
+    }
+    Ok(OracleReport {
+        divergences: cmp.out,
+        draws_compared: totals * workload.total_draws(),
     })
 }
 

@@ -1,9 +1,11 @@
-//! Proves the differential oracle has teeth: with the test-only
+//! Proves the differential oracles have teeth: with the test-only
 //! `fault-injection` hook armed, a batch-cache hit returns its stored
 //! costs with `time_ns` flipped by one ulp — the smallest possible
 //! corruption — and the oracle must still name it. A sweep session,
 //! which streams batch-cache hits straight into candidate totals, must
-//! surface the same flip in at least one total.
+//! surface the same flip in at least one total. And when a sweep costs
+//! a shared batch on the wrong candidate's configuration, the sweep
+//! oracle must name the candidates it misrouted.
 //!
 //! Gated behind `required-features = ["fault-injection"]`: plain
 //! `cargo test` never compiles the hook. Run via
@@ -12,7 +14,7 @@
 use std::sync::{Mutex, MutexGuard};
 use subset3d_gpusim::{fault, ArchConfig, CacheMode, ConfigPoint, Simulator, SweepSession};
 use subset3d_testkit::corpus::golden_corpus;
-use subset3d_testkit::oracle::run_oracle;
+use subset3d_testkit::oracle::{run_oracle, run_sweep_oracle};
 
 /// Disarms the hook even if an assertion below panics, so a failure here
 /// cannot poison other tests in a shared process. Also holds the lock
@@ -122,4 +124,44 @@ fn one_ulp_corruption_of_streamed_sweep_hits_is_caught() {
     // so the divergence above came from the armed hook alone.
     let warm = session.sweep(&workload).unwrap();
     assert_eq!(total_bits(&warm), total_bits(&cold));
+}
+
+#[test]
+fn shared_batch_costed_on_the_wrong_candidate_is_caught() {
+    let _guard = Disarm::take();
+    let (name, workload) = golden_corpus().remove(0);
+    let candidates = ArchConfig::pathfinding_candidates();
+
+    // Armed: every batch a sweep shares between candidates is costed on
+    // the next candidate's configuration. Each path that shares batches
+    // (sessions cold, warm and uncached, and the one-shot sweeps) must
+    // be flagged.
+    fault::arm_misrouted_config();
+    let report = run_sweep_oracle(name, &workload, &candidates).unwrap();
+    fault::disarm();
+    assert!(
+        !report.is_clean(),
+        "a batch costed on the wrong candidate went undetected"
+    );
+    for run in [
+        "session On cold",
+        "session On warm",
+        "session Off",
+        "sweep_configs",
+        "sweep_frequencies",
+    ] {
+        assert!(
+            report
+                .divergences
+                .iter()
+                .any(|d| d.location.starts_with(run) && d.field == "total_ns"),
+            "{run} should report a misrouted total, got: {}",
+            report.divergences[0]
+        );
+    }
+
+    // Disarmed: clean, so the divergences above came from the hook.
+    run_sweep_oracle(name, &workload, &candidates)
+        .unwrap()
+        .assert_clean();
 }
